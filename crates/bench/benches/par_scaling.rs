@@ -14,7 +14,7 @@ use magellan_datagen::{DirtModel, ScenarioConfig};
 use magellan_features::{extract_feature_matrix_par, generate_features};
 use magellan_ml::{predict_proba_batch, Dataset, RandomForestLearner};
 use magellan_par::ParConfig;
-use magellan_simjoin::{join_tokenized_par, SetSimMeasure, TokenizedCollection};
+use magellan_simjoin::{join_tokenized_sharded, ProbeSide, SetSimMeasure, TokenizedCollection};
 use magellan_textsim::tokenize::AlphanumericTokenizer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,9 +57,11 @@ fn bench_simjoin_scaling(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("jaccard_0.5", w), &w, |b, &w| {
             let cfg = ParConfig::workers(w);
             b.iter(|| {
-                black_box(join_tokenized_par(
+                black_box(join_tokenized_sharded(
                     black_box(&coll),
                     SetSimMeasure::Jaccard(0.5),
+                    ProbeSide::Auto,
+                    1,
                     &cfg,
                 ))
             });

@@ -4,9 +4,10 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use magellan_textsim::setsim;
 use magellan_textsim::tokenize::{Tokenizer, WhitespaceTokenizer};
+use magellan_par::ParConfig;
 use magellan_simjoin::{
-    join_tokenized, join_tokenized_hashmap, set_sim_join, set_sim_join_parallel, SetSimMeasure,
-    TokenizedCollection,
+    join_tokenized_hashmap, join_tokenized_sharded, set_sim_join, set_sim_join_parallel,
+    ProbeSide, SetSimMeasure, TokenizedCollection,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -130,7 +131,13 @@ fn bench_engine_grid(c: &mut Criterion) {
                 let id = format!("n{n}/{skew_name}/t{t}");
                 g.bench_with_input(BenchmarkId::new("csr", &id), &coll, |b, coll| {
                     b.iter(|| {
-                        black_box(join_tokenized(black_box(coll), SetSimMeasure::Jaccard(t)))
+                        black_box(join_tokenized_sharded(
+                            black_box(coll),
+                            SetSimMeasure::Jaccard(t),
+                            ProbeSide::Auto,
+                            1,
+                            &ParConfig::serial(),
+                        ))
                     })
                 });
                 g.bench_with_input(BenchmarkId::new("hashmap", &id), &coll, |b, coll| {

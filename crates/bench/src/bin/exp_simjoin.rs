@@ -14,12 +14,9 @@ use std::time::Instant;
 
 use magellan_par::ParConfig;
 use magellan_simjoin::{
-    join_tokenized_hashmap, join_tokenized_par_side, join_tokenized_stats, ProbeSide,
-    SetSimMeasure, TokenizedCollection,
+    join_tokenized_hashmap, join_tokenized_sharded, ProbeSide, SetSimMeasure, TokenizedCollection,
 };
 use magellan_textsim::tokenize::WhitespaceTokenizer;
-use magellan_textsim::kernels::set_mode;
-use magellan_textsim::KernelMode;
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
@@ -33,21 +30,6 @@ fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     samples[samples.len() / 2]
-}
-
-/// Best-of-reps: the minimum is the standard noise-robust estimator for
-/// a deterministic workload (every sample is the true cost plus
-/// non-negative scheduler/cache noise). Used for the kernel-tier A/B,
-/// where the effect size is small enough for median noise to flip the
-/// sign of the comparison.
-fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 /// Deterministic token soup with controllable frequency skew (`skew = 0`
@@ -81,14 +63,9 @@ fn make_strings(n: usize, seed: u64, vocab: usize, skew: f64) -> Vec<Option<Stri
 /// perturbed twin of its left record (every token kept with p = 0.7,
 /// else redrawn), so Jaccard lands around 0.54 and a 0.5 threshold
 /// makes almost every verification *succeed* — the per-element failure
-/// bound cannot early-exit a succeeding merge, so both modes walk the
-/// full multi-hundred-step merge. This is the worst case for any
-/// adaptive dispatch that strays from the scalar reference (the
-/// block-branchless merge measured 0.89× here, the bitset kernel
-/// 0.62× on a dense variant), which makes it the regression guard for
-/// the PR 9 selection retune: adaptive must *tie* the reference on
-/// full-length merges, where the 3–8-token grids resolve in 1–2 scalar
-/// steps and could mask a bad multi-block policy.
+/// bound cannot early-exit a succeeding merge, so verification walks the
+/// full multi-hundred-step merge, where the 3–8-token grids resolve in
+/// 1–2 steps.
 fn make_wide_pairs(
     n: usize,
     seed: u64,
@@ -166,8 +143,7 @@ struct Grid {
     long_right: bool,
     /// Both sides 250 wide records, right a perturbed twin of left
     /// (see [`make_wide_pairs`]): every verification runs a
-    /// multi-hundred-step merge to completion, exercising the
-    /// branchless merge kernel instead of the single-block scalar path.
+    /// multi-hundred-step merge to completion.
     wide: bool,
 }
 
@@ -188,8 +164,7 @@ fn main() {
         Grid { name: "size_skew16", skew: 0.0, threshold: 2.0, measure: overlap, measure_name: "overlap_size", vocab: 4000, long_right: true, wide: false },
         // 150–249-token near-duplicate pairs over a 1M-token vocabulary:
         // nearly every verification succeeds and runs a full
-        // multi-hundred-step merge — the shape where a bad multi-block
-        // dispatch policy shows up undiluted (see `make_wide_pairs`).
+        // multi-hundred-step merge (see `make_wide_pairs`).
         Grid { name: "wide_sparse", skew: 0.0, threshold: 0.5, measure: jaccard, measure_name: "jaccard", vocab: 1_000_000, long_right: false, wide: true },
     ];
     let tok = WhitespaceTokenizer::new();
@@ -203,10 +178,9 @@ fn main() {
     .unwrap();
     writeln!(txt, "{n} x {n} records per side, reps = {reps}, smoke = {smoke}").unwrap();
     let cores = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
-    writeln!(txt, "host exposes {cores} core(s); the w>1 rows measure threading overhead on a 1-core host").unwrap();
+    writeln!(txt, "host exposes {cores} core(s); rows with w > {cores} measure threading overhead").unwrap();
 
     let mut skewed_speedup_w1 = 0.0;
-    let mut kernel_speedups: Vec<(&str, f64)> = Vec::new();
     for grid in &grids {
         // Wide sides stay at 250 records even in smoke: the grid's
         // premise (sparse multi-block spans after rarest-first
@@ -227,7 +201,10 @@ fn main() {
 
         // Bit-identity check before timing anything: pair set, order,
         // and exact f64 similarities must match the seed engine.
-        let (csr_pairs, stats) = join_tokenized_stats(&coll, measure, ProbeSide::Auto);
+        // The CSR engine is the one join, monolithic (K = 1).
+        let (csr_pairs, pstats, _) =
+            join_tokenized_sharded(&coll, measure, ProbeSide::Auto, 1, &ParConfig::serial());
+        let stats = pstats.join;
         let hash_pairs = join_tokenized_hashmap(&coll, measure);
         assert_eq!(csr_pairs.len(), hash_pairs.len(), "CSR engine diverged");
         for (cp, hp) in csr_pairs.iter().zip(&hash_pairs) {
@@ -245,11 +222,10 @@ fn main() {
         }
         if grid.wide {
             // The whole point of this grid: verifications must actually
-            // run multi-block merges (merge-family attribution, not
-            // gallop), or the regression guard guards nothing.
+            // run balanced multi-hundred-step merges, not gallops.
             assert!(
                 stats.kernel_merge > 0,
-                "wide grid never ran a balanced multi-block merge"
+                "wide grid never ran a balanced merge"
             );
         }
 
@@ -276,8 +252,8 @@ fn main() {
         .unwrap();
         writeln!(
             txt,
-            "kernel split: merge={} gallop={} bitset={}",
-            stats.kernel_merge, stats.kernel_gallop, stats.kernel_bitset
+            "kernel split: merge={} gallop={}",
+            stats.kernel_merge, stats.kernel_gallop
         )
         .unwrap();
 
@@ -286,34 +262,6 @@ fn main() {
         });
         let ps_hash = n_pairs as f64 / t_hash;
 
-        // Kernel-tier delta at 1 worker: pin the scalar reference kernels,
-        // time the same CSR join, restore adaptive dispatch. Outputs are
-        // bit-identical either way — this isolates the kernel speedup.
-        // Interleave the two modes rep-by-rep so scheduler/frequency
-        // drift lands on both sides equally, and take best-of-N per
-        // mode (see `best_secs` for why min, not median).
-        let serial = ParConfig::workers(1);
-        let kernel_reps = (reps * 3).max(15);
-        let mut t_csr_scalar = f64::INFINITY;
-        let mut t_csr_adaptive = f64::INFINITY;
-        for _ in 0..kernel_reps {
-            set_mode(KernelMode::ScalarReference);
-            t_csr_scalar = t_csr_scalar.min(best_secs(1, || {
-                std::hint::black_box(join_tokenized_par_side(&coll, measure, ProbeSide::Auto, &serial));
-            }));
-            set_mode(KernelMode::Adaptive);
-            t_csr_adaptive = t_csr_adaptive.min(best_secs(1, || {
-                std::hint::black_box(join_tokenized_par_side(&coll, measure, ProbeSide::Auto, &serial));
-            }));
-        }
-        let kernel_speedup = t_csr_scalar / t_csr_adaptive;
-        kernel_speedups.push((grid.name, kernel_speedup));
-        writeln!(
-            txt,
-            "kernel tier (w=1): scalar-kernel {:.3}s vs adaptive {:.3}s -> {kernel_speedup:.2}x",
-            t_csr_scalar, t_csr_adaptive
-        )
-        .unwrap();
         writeln!(txt, "{:>3}  {:>15}  {:>15}  {:>8}", "w", "hashmap p/s", "csr p/s", "speedup")
             .unwrap();
 
@@ -322,10 +270,11 @@ fn main() {
         for w in WORKERS {
             let cfg = ParConfig::workers(w);
             let t_csr = median_secs(reps, || {
-                std::hint::black_box(join_tokenized_par_side(
+                std::hint::black_box(join_tokenized_sharded(
                     &coll,
                     measure,
                     ProbeSide::Auto,
+                    1,
                     &cfg,
                 ));
             });
@@ -348,8 +297,8 @@ fn main() {
         // Per-worker busy-time evidence for the multi-worker analysis in
         // EXPERIMENTS.md: on a 1-core host the busy sum exceeding the
         // wall clock is the threading-overhead ceiling made visible.
-        let (_, pstats) =
-            join_tokenized_par_side(&coll, measure, ProbeSide::Auto, &ParConfig::workers(4));
+        let (_, pstats, _) =
+            join_tokenized_sharded(&coll, measure, ProbeSide::Auto, 1, &ParConfig::workers(4));
         let busy: Vec<String> = pstats
             .worker_busy
             .iter()
@@ -372,7 +321,7 @@ fn main() {
         }
         write!(
             json_grids,
-            "    {{\"grid\": \"{}\", \"skew\": {}, \"measure\": \"{}\", \"threshold\": {}, \"vocab\": {}, \"n_pairs\": {n_pairs}, \"hashmap_pairs_per_sec\": {ps_hash:.0}, \"speedup_w1\": {speedup_w1:.2}, \"kernel_speedup_w1\": {kernel_speedup:.2},\n     \"join_stats\": {{\"probes\": {}, \"candidates\": {}, \"killed_by_size\": {}, \"killed_by_position\": {}, \"killed_by_suffix\": {}, \"verified\": {}, \"verify_steps\": {}, \"kernel_merge\": {}, \"kernel_gallop\": {}, \"kernel_bitset\": {}, \"position_kill_rate\": {:.4}, \"suffix_kill_rate\": {:.4}}},\n     \"csr\": [\n{json_rows}\n     ]}}",
+            "    {{\"grid\": \"{}\", \"skew\": {}, \"measure\": \"{}\", \"threshold\": {}, \"vocab\": {}, \"n_pairs\": {n_pairs}, \"hashmap_pairs_per_sec\": {ps_hash:.0}, \"speedup_w1\": {speedup_w1:.2},\n     \"join_stats\": {{\"probes\": {}, \"candidates\": {}, \"killed_by_size\": {}, \"killed_by_position\": {}, \"killed_by_suffix\": {}, \"verified\": {}, \"verify_steps\": {}, \"kernel_merge\": {}, \"kernel_gallop\": {}, \"position_kill_rate\": {:.4}, \"suffix_kill_rate\": {:.4}}},\n     \"csr\": [\n{json_rows}\n     ]}}",
             grid.name,
             grid.skew,
             grid.measure_name,
@@ -387,7 +336,6 @@ fn main() {
             stats.verify_steps,
             stats.kernel_merge,
             stats.kernel_gallop,
-            stats.kernel_bitset,
             stats.position_kill_rate(),
             stats.suffix_kill_rate(),
         )
@@ -401,36 +349,6 @@ fn main() {
     )
     .unwrap();
 
-    // Kernel-tier acceptance (non-smoke): the adaptive selector must
-    // never lose to the pinned scalar reference. After the PR 9 retune
-    // the tie is structural — adaptive only dispatches the reference's
-    // own code paths (scalar walk everywhere balanced, gallop on ≥16×
-    // skew, which the reference also takes) — so the true ratio is 1.0
-    // on every grid and the floors bound timer noise, not a real
-    // effect: 0.95 per grid, 0.97 geomean. During development this
-    // caught real regressions (blocked merge 0.89×, bitset 0.62× on
-    // the wide grid), which is exactly what the floors are for.
-    let kernel_geomean =
-        (kernel_speedups.iter().map(|(_, s)| s.ln()).sum::<f64>() / kernel_speedups.len() as f64)
-            .exp();
-    writeln!(
-        txt,
-        "kernel tier acceptance: per-grid {:?}, geomean {kernel_geomean:.3}x (floors: 0.95 per grid, 0.97 geomean)",
-        kernel_speedups
-    )
-    .unwrap();
-    if !smoke {
-        for (name, s) in &kernel_speedups {
-            assert!(
-                *s >= 0.95,
-                "adaptive kernels lost to the scalar reference on grid {name}: {s:.3}x"
-            );
-        }
-        assert!(
-            kernel_geomean >= 0.97,
-            "adaptive kernel tier lost to the scalar reference on net: geomean {kernel_geomean:.3}x"
-        );
-    }
     magellan_obs::log!(info, "{txt}");
 
     let json = format!(

@@ -5,7 +5,7 @@ use std::hash::{Hash, Hasher};
 
 use magellan_par::{ParConfig, ParStats};
 use magellan_simjoin::collection::TokenizedCollection;
-use magellan_simjoin::{join_tokenized_par, join_tokenized_sharded, ProbeSide, SetSimMeasure};
+use magellan_simjoin::{join_tokenized_sharded, ProbeSide, SetSimMeasure};
 use magellan_table::{Table, TableError};
 use magellan_textsim::tokenize::{AlphanumericTokenizer, Tokenizer};
 
@@ -50,6 +50,39 @@ fn column_strings(t: &Table, attr: &str) -> magellan_table::Result<Vec<Option<St
             (!v.is_null()).then(|| v.display_string())
         })
         .collect())
+}
+
+/// The token-set join behind [`OverlapBlocker`] and [`SimJoinBlocker`]:
+/// tokenize both attributes (alphanumeric words, or q-grams when `qgram`
+/// is set) once, serially, then run the one set-similarity join over the
+/// pool at `shards.max(1)` shards — `0` and `1` both mean monolithic. The
+/// join output is sorted by `(l, r)`, so the pair stream is worker-count
+/// independent.
+fn join_block(
+    a: &Table,
+    b: &Table,
+    (l_attr, r_attr): (&str, &str),
+    qgram: Option<usize>,
+    measure: SetSimMeasure,
+    shards: usize,
+    cfg: &ParConfig,
+) -> magellan_table::Result<(CandidateSet, ParStats)> {
+    let la = column_strings(a, l_attr)?;
+    let rb = column_strings(b, r_attr)?;
+    let tokenizer: Box<dyn Tokenizer> = match qgram {
+        Some(q) => Box::new(magellan_textsim::tokenize::QgramTokenizer::as_set(q)),
+        None => Box::new(AlphanumericTokenizer::as_set()),
+    };
+    let coll = TokenizedCollection::build(&la, &rb, tokenizer.as_ref());
+    let (joined, stats, _) =
+        join_tokenized_sharded(&coll, measure, ProbeSide::Auto, shards.max(1), cfg);
+    Ok((
+        joined
+            .into_iter()
+            .map(|p| (p.l as u32, p.r as u32))
+            .collect(),
+        stats,
+    ))
 }
 
 /// Equality on `(l_attr, r_attr)` after lowercasing and trimming. Nulls
@@ -240,31 +273,9 @@ impl Blocker for OverlapBlocker {
         b: &Table,
         cfg: &ParConfig,
     ) -> magellan_table::Result<(CandidateSet, ParStats)> {
-        let la = column_strings(a, &self.l_attr)?;
-        let rb = column_strings(b, &self.r_attr)?;
-        let tokenizer: Box<dyn Tokenizer> = match self.qgram {
-            Some(q) => Box::new(magellan_textsim::tokenize::QgramTokenizer::as_set(q)),
-            None => Box::new(AlphanumericTokenizer::as_set()),
-        };
-        // Tokenize once (serial), probe left rows over the pool; the join
-        // output is sorted by (l, r), so the pair stream is worker-count
-        // independent.
-        let coll = TokenizedCollection::build(&la, &rb, tokenizer.as_ref());
         let measure = SetSimMeasure::OverlapSize(self.overlap_size.max(1));
-        let (joined, stats) = if self.shards > 1 {
-            let (j, s, _) =
-                join_tokenized_sharded(&coll, measure, ProbeSide::Auto, self.shards, cfg);
-            (j, s)
-        } else {
-            join_tokenized_par(&coll, measure, cfg)
-        };
-        Ok((
-            joined
-                .into_iter()
-                .map(|p| (p.l as u32, p.r as u32))
-                .collect(),
-            stats,
-        ))
+        let attrs = (self.l_attr.as_str(), self.r_attr.as_str());
+        join_block(a, b, attrs, self.qgram, measure, self.shards, cfg)
     }
 }
 
@@ -311,27 +322,8 @@ impl Blocker for SimJoinBlocker {
         b: &Table,
         cfg: &ParConfig,
     ) -> magellan_table::Result<(CandidateSet, ParStats)> {
-        let la = column_strings(a, &self.l_attr)?;
-        let rb = column_strings(b, &self.r_attr)?;
-        let tokenizer: Box<dyn Tokenizer> = match self.qgram {
-            Some(q) => Box::new(magellan_textsim::tokenize::QgramTokenizer::as_set(q)),
-            None => Box::new(AlphanumericTokenizer::as_set()),
-        };
-        let coll = TokenizedCollection::build(&la, &rb, tokenizer.as_ref());
-        let (joined, stats) = if self.shards > 1 {
-            let (j, s, _) =
-                join_tokenized_sharded(&coll, self.measure, ProbeSide::Auto, self.shards, cfg);
-            (j, s)
-        } else {
-            join_tokenized_par(&coll, self.measure, cfg)
-        };
-        Ok((
-            joined
-                .into_iter()
-                .map(|p| (p.l as u32, p.r as u32))
-                .collect(),
-            stats,
-        ))
+        let attrs = (self.l_attr.as_str(), self.r_attr.as_str());
+        join_block(a, b, attrs, self.qgram, self.measure, self.shards, cfg)
     }
 }
 
@@ -582,7 +574,7 @@ mod tests {
         }
         .block(&a, &b)
         .unwrap();
-        for k in [2usize, 3, 16] {
+        for k in [0usize, 1, 2, 3, 16] {
             for cfg in [ParConfig::serial(), ParConfig::workers(4)] {
                 let (c, _) = OverlapBlocker::words("name", 1)
                     .with_shards(k)

@@ -8,7 +8,10 @@
 //! returns the top-k most similar surviving pairs — if those look like
 //! matches, the blocker is too aggressive and should be loosened.
 
-use magellan_simjoin::{set_sim_join, set_sim_join_stats, JoinStats, SetSimMeasure};
+use magellan_par::ParConfig;
+use magellan_simjoin::{
+    join_tokenized_sharded, set_sim_join, JoinStats, ProbeSide, SetSimMeasure, TokenizedCollection,
+};
 use magellan_table::Table;
 use magellan_textsim::tokenize::AlphanumericTokenizer;
 
@@ -89,8 +92,11 @@ pub fn debug_blocker_report(
     let la = concat_attrs(a, attrs)?;
     let rb = concat_attrs(b, attrs)?;
     let tok = AlphanumericTokenizer::as_set();
-    let (joined, join) =
-        set_sim_join_stats(&la, &rb, &tok, SetSimMeasure::Jaccard(min_sim.max(1e-6)));
+    let coll = TokenizedCollection::build(&la, &rb, &tok);
+    let measure = SetSimMeasure::Jaccard(min_sim.max(1e-6));
+    let (joined, pstats, _) =
+        join_tokenized_sharded(&coll, measure, ProbeSide::Auto, 1, &ParConfig::serial());
+    let join = pstats.join;
     let mut dropped: Vec<DroppedPair> = joined
         .into_iter()
         .filter(|p| !candidates.contains((p.l as u32, p.r as u32)))

@@ -17,7 +17,8 @@
 
 use std::collections::HashMap;
 
-use magellan_simjoin::{join_tokenized, SetSimMeasure, TokenizedCollection};
+use magellan_par::ParConfig;
+use magellan_simjoin::{join_tokenized_sharded, ProbeSide, SetSimMeasure, TokenizedCollection};
 use magellan_table::Table;
 use magellan_textsim::tokenize::{AlphanumericTokenizer, QgramTokenizer, Tokenizer};
 use magellan_textsim::{intern, setsim, TokenInterner};
@@ -278,7 +279,8 @@ impl RuleBasedBlocker {
                 let coll = collections
                     .get(&key)
                     .expect("collection prebuilt for every set predicate");
-                let joined = join_tokenized(coll, measure);
+                let (joined, _, _) =
+                    join_tokenized_sharded(coll, measure, ProbeSide::Auto, 1, &ParConfig::serial());
                 // The join returns sim >= threshold; the complement needs
                 // the strict sim > threshold.
                 Ok(joined

@@ -151,7 +151,7 @@ proptest! {
     /// stream (same pairs, same order, same similarity bits).
     #[test]
     fn simjoin_par_equals_serial((ra, rb) in tables_strategy()) {
-        use magellan_simjoin::{join_tokenized_par, TokenizedCollection};
+        use magellan_simjoin::{join_tokenized_sharded, ProbeSide, TokenizedCollection};
         use magellan_textsim::tokenize::AlphanumericTokenizer;
         let left: Vec<Option<String>> = ra.iter().map(|(n, _)| n.clone()).collect();
         let right: Vec<Option<String>> = rb.iter().map(|(n, _)| n.clone()).collect();
@@ -164,7 +164,8 @@ proptest! {
             let serial = set_sim_join(&left, &right, &tok, measure);
             let coll = TokenizedCollection::build(&left, &right, &tok);
             for cfg in configs() {
-                let (par, _) = join_tokenized_par(&coll, measure, &cfg);
+                let (par, _, _) =
+                    join_tokenized_sharded(&coll, measure, ProbeSide::Auto, 1, &cfg);
                 prop_assert_eq!(par.len(), serial.len());
                 for (x, y) in par.iter().zip(&serial) {
                     prop_assert_eq!(x.l, y.l);

@@ -51,8 +51,7 @@ use magellan_textsim::intern::TokenInterner;
 use magellan_textsim::tokenize::Tokenizer;
 
 use crate::index::PrefixIndex;
-use crate::join::{set_sim_join, JoinPair, SetSimMeasure};
-use crate::verify::{overlap_sorted_bounded_with, verify_kernel};
+use crate::join::{set_sim_join, verify_and_emit, JoinPair, SetSimMeasure};
 
 /// Which collection a mutation targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -733,30 +732,9 @@ fn probe_delta_one(
     for &rid in &scratch.cand {
         let rid = rid as usize;
         let y = &opp_state.tokens[rid];
-        let sy = y.len();
-        let need = measure.min_overlap(sx, sy);
-        stats.verified += 1;
-        let kernel = verify_kernel(x, y);
-        match kernel {
-            magellan_textsim::kernels::Kernel::Gallop => stats.kernel_gallop += 1,
-            magellan_textsim::kernels::Kernel::Bitset => stats.kernel_bitset += 1,
-            _ => stats.kernel_merge += 1,
-        }
-        match overlap_sorted_bounded_with(kernel, x, y, need, &mut stats.verify_steps) {
-            None => stats.killed_by_suffix += 1,
-            Some(overlap) => {
-                let (l, r) = if probe_is_left {
-                    (probe_rid, rid)
-                } else {
-                    (rid, probe_rid)
-                };
-                out.push(JoinPair {
-                    l,
-                    r,
-                    sim: measure.similarity(sx, sy, overlap),
-                });
-            }
-        }
+        let need = measure.min_overlap(sx, y.len());
+        let (l, r) = if probe_is_left { (probe_rid, rid) } else { (rid, probe_rid) };
+        verify_and_emit(measure, (l, r), (sx, y.len()), (x, y), 0, need, out, stats);
     }
 }
 

@@ -44,13 +44,19 @@ pub struct PrefixIndex {
 
 impl PrefixIndex {
     /// Build the index. `prefix_len_of(size)` gives the number of leading
-    /// (rarest) tokens of a record of that size to index.
-    pub fn build(records: &[Vec<u32>], prefix_len_of: impl Fn(usize) -> usize) -> Self {
+    /// (rarest) tokens of a record of that size to index. Records may be
+    /// owned (`Vec<u32>`) or borrowed (`&[u32]`): a shard indexes slices
+    /// of the caller's records without copying them.
+    pub fn build<R: AsRef<[u32]>>(
+        records: &[R],
+        prefix_len_of: impl Fn(usize) -> usize,
+    ) -> Self {
         // Pass 0: per-record prefix lengths and the token-id universe.
         let mut prefix_lens = Vec::with_capacity(records.len());
         let mut max_token: u32 = 0;
         let mut n_postings = 0usize;
         for rec in records {
+            let rec = rec.as_ref();
             let plen = prefix_len_of(rec.len()).min(rec.len());
             prefix_lens.push(plen as u32);
             n_postings += plen;
@@ -67,7 +73,7 @@ impl PrefixIndex {
         // Pass 1: postings count per token → CSR offsets (prefix sum).
         let mut offsets = vec![0u32; n_tokens + 1];
         for (rec, &plen) in records.iter().zip(&prefix_lens) {
-            for &tok in &rec[..plen as usize] {
+            for &tok in &rec.as_ref()[..plen as usize] {
                 offsets[tok as usize + 1] += 1;
             }
         }
@@ -86,6 +92,7 @@ impl PrefixIndex {
             n_postings
         ];
         for (rid, (rec, &plen)) in records.iter().zip(&prefix_lens).enumerate() {
+            let rec = rec.as_ref();
             for (pos, &tok) in rec[..plen as usize].iter().enumerate() {
                 let slot = cursor[tok as usize] as usize;
                 postings[slot] = Posting {
@@ -258,7 +265,7 @@ mod tests {
         assert!(idx.postings(u32::MAX).is_empty());
         assert!(idx.size_window(u32::MAX, 0, usize::MAX).is_empty());
         // And the empty index clamps everything.
-        let empty = PrefixIndex::build(&[], |_| 2);
+        let empty = PrefixIndex::build::<Vec<u32>>(&[], |_| 2);
         assert!(empty.postings(0).is_empty());
         assert_eq!(empty.n_token_slots(), 0);
         // An index whose only records are empty also has zero slots.

@@ -27,17 +27,23 @@
 //! Per-stage kill counters are reported through
 //! [`magellan_par::JoinStats`]; all counters are pure functions of
 //! (probe record, index), so they are identical for any worker count.
+//!
+//! This module holds the per-record cascade (`probe_one`) and the
+//! verify-and-emit step shared with the incremental delta probe; the
+//! one driver that builds the index and runs probes over the pool is
+//! [`crate::join_tokenized_sharded`].
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 
-use magellan_par::{JoinStats, ParConfig, ParStats};
+use magellan_par::{JoinStats, ParConfig};
 use magellan_textsim::tokenize::Tokenizer;
 
 use crate::collection::TokenizedCollection;
 use crate::filters;
 use crate::index::PrefixIndex;
-use crate::verify::{overlap_sorted_bounded_with, verify_kernel};
+use crate::shard::join_tokenized_sharded;
+use crate::verify::{gallops, overlap_sorted_bounded};
 
 /// A similarity measure + threshold for a set-similarity join.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -256,7 +262,8 @@ std::thread_local! {
 /// Join two string collections. `None` / empty-token records never match
 /// (a positive threshold is unreachable for an empty set).
 ///
-/// Returns pairs sorted by `(l, r)`.
+/// Returns pairs sorted by `(l, r)`. Tokenizes, then runs
+/// [`crate::join_tokenized_sharded`] monolithically on one worker.
 ///
 /// ```
 /// use magellan_simjoin::{set_sim_join, SetSimMeasure};
@@ -275,67 +282,23 @@ pub fn set_sim_join<S: AsRef<str>>(
     tokenizer: &dyn Tokenizer,
     measure: SetSimMeasure,
 ) -> Vec<JoinPair> {
-    set_sim_join_stats(left, right, tokenizer, measure).0
+    let coll = TokenizedCollection::build(left, right, tokenizer);
+    join_tokenized_sharded(&coll, measure, ProbeSide::Auto, 1, &ParConfig::serial()).0
 }
 
-/// [`set_sim_join`] also returning the pruning-cascade telemetry.
-pub fn set_sim_join_stats<S: AsRef<str>>(
+/// [`set_sim_join`] with probes partitioned across `n_workers` of the
+/// `magellan-par` work-stealing pool (the production-stage "Dask" role
+/// in the paper). Results are identical to the serial join.
+pub fn set_sim_join_parallel<S: AsRef<str> + Sync>(
     left: &[Option<S>],
     right: &[Option<S>],
     tokenizer: &dyn Tokenizer,
     measure: SetSimMeasure,
-) -> (Vec<JoinPair>, JoinStats) {
-    measure.validate();
+    n_workers: usize,
+) -> Vec<JoinPair> {
     let coll = TokenizedCollection::build(left, right, tokenizer);
-    join_tokenized_stats(&coll, measure, ProbeSide::Auto)
-}
-
-/// Join a pre-tokenized collection (lets callers reuse tokenization).
-pub fn join_tokenized(coll: &TokenizedCollection, measure: SetSimMeasure) -> Vec<JoinPair> {
-    join_tokenized_stats(coll, measure, ProbeSide::Auto).0
-}
-
-/// Serial join with an explicit probe side and full [`JoinStats`].
-/// Output (pair set, order, and bit-exact similarities) is identical for
-/// every [`ProbeSide`].
-pub fn join_tokenized_stats(
-    coll: &TokenizedCollection,
-    measure: SetSimMeasure,
-    side: ProbeSide,
-) -> (Vec<JoinPair>, JoinStats) {
-    measure.validate();
-    let plan = ProbePlan::choose(coll, side);
-    let index = PrefixIndex::build(plan.indexed, |s| measure.prefix_len(s));
-    magellan_obs::span_res_add("csr_index_bytes", index.index_bytes() as u64);
-    let stamp_base = PROBE_STAMPS.fetch_add(plan.probe.len() as u64, Ordering::Relaxed);
-    let mut out = Vec::new();
-    let mut stats = JoinStats::default();
-    PROBE_SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        scratch.ensure(plan.indexed.len());
-        for (p, x) in plan.probe.iter().enumerate() {
-            probe_one(
-                p,
-                stamp_base + p as u64,
-                x,
-                plan.indexed,
-                &index,
-                measure,
-                plan.swap,
-                &mut scratch,
-                &mut out,
-                &mut stats,
-            );
-        }
-    });
-    out.sort_unstable_by_key(|a| (a.l, a.r));
-    stats.pairs = out.len();
-    stats.probe_swaps = plan.swap as usize;
-    // Re-express the cascade counters as `magellan_simjoin_*` registry
-    // metrics (no-op when observability is disabled); the struct remains
-    // the report-facing view.
-    stats.publish();
-    (out, stats)
+    let cfg = ParConfig::workers(n_workers);
+    join_tokenized_sharded(&coll, measure, ProbeSide::Auto, 1, &cfg).0
 }
 
 /// Probe a single record against the prefix index through the
@@ -346,7 +309,7 @@ pub(crate) fn probe_one(
     probe_rid: usize,
     stamp: u64,
     x: &[u32],
-    indexed: &[Vec<u32>],
+    indexed: &[&[u32]],
     index: &PrefixIndex,
     measure: SetSimMeasure,
     swap: bool,
@@ -420,145 +383,66 @@ pub(crate) fn probe_one(
             continue;
         }
         let rid = rid as usize;
-        let y = &indexed[rid];
-        let sy = y.len();
+        let y = indexed[rid];
         let plen_y = index.prefix_len(rid);
-        let cnt = st.cnt as usize;
-        let need = st.need as usize;
-        let (rest_x, rest_y) = if x[probe_len - 1] <= y[plen_y - 1] {
+        let rest = if x[probe_len - 1] <= y[plen_y - 1] {
             (&x[probe_len..], &y[st.py as usize + 1..])
         } else {
             (&x[st.px as usize + 1..], &y[plen_y..])
         };
-        stats.verified += 1;
-        // Selection telemetry: which kernel answers this merge is a pure
-        // function of the operand lengths (and the process-wide mode), so
-        // the split is worker-count invariant like every other counter.
-        let kernel = verify_kernel(rest_x, rest_y);
-        match kernel {
-            magellan_textsim::kernels::Kernel::Gallop => stats.kernel_gallop += 1,
-            magellan_textsim::kernels::Kernel::Bitset => stats.kernel_bitset += 1,
-            _ => stats.kernel_merge += 1,
-        }
-        match overlap_sorted_bounded_with(
-            kernel,
-            rest_x,
-            rest_y,
-            need.saturating_sub(cnt),
-            &mut stats.verify_steps,
-        ) {
-            None => stats.killed_by_suffix += 1,
-            Some(sub) => {
-                let overlap = cnt + sub;
-                debug_assert!(measure.qualifies(sx, sy, overlap));
-                let (l, r) = if swap { (rid, probe_rid) } else { (probe_rid, rid) };
-                out.push(JoinPair {
-                    l,
-                    r,
-                    sim: measure.similarity(sx, sy, overlap),
-                });
-            }
-        }
+        let (l, r) = if swap { (rid, probe_rid) } else { (probe_rid, rid) };
+        verify_and_emit(
+            measure,
+            (l, r),
+            (sx, y.len()),
+            rest,
+            st.cnt as usize,
+            st.need as usize,
+            out,
+            stats,
+        );
     }
 }
 
-/// Multi-threaded variant of [`set_sim_join`]: probes are partitioned
-/// across the `magellan-par` work-stealing pool (the production-stage
-/// "Dask" role in the paper). Results are identical to the serial join.
-pub fn set_sim_join_parallel<S: AsRef<str> + Sync>(
-    left: &[Option<S>],
-    right: &[Option<S>],
-    tokenizer: &dyn Tokenizer,
+/// The verify-and-emit step every probe ends in — the batch cascade
+/// above and the incremental delta probe alike. `rest` holds the token
+/// ranges that can still contain shared tokens beyond the `counted`
+/// ones already found; the pair `(l, r)` (already oriented left/right)
+/// with set sizes `(sx, sy)` is emitted when its exact overlap reaches
+/// `need`. Counts the verification, which kernel answered it (gallop on
+/// a ≥ [`crate::verify::GALLOP_RATIO`]× length skew, merge otherwise),
+/// its merge steps and a suffix kill.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn verify_and_emit(
     measure: SetSimMeasure,
-    n_workers: usize,
-) -> Vec<JoinPair> {
-    measure.validate();
-    let coll = TokenizedCollection::build(left, right, tokenizer);
-    join_tokenized_parallel(&coll, measure, n_workers)
-}
-
-/// Multi-threaded variant of [`join_tokenized`].
-pub fn join_tokenized_parallel(
-    coll: &TokenizedCollection,
-    measure: SetSimMeasure,
-    n_workers: usize,
-) -> Vec<JoinPair> {
-    join_tokenized_par(coll, measure, &ParConfig::workers(n_workers)).0
-}
-
-/// Work-stealing probe-side join: probe records are chunked, chunks are
-/// claimed dynamically by idle workers, and per-chunk outputs are merged in
-/// chunk order — the result is **bit-identical** to [`join_tokenized`] for
-/// any worker count (each probe is a pure function of its record and the
-/// shared index; the final `(l, r)` sort is independent of chunking).
-/// Returns the region's [`ParStats`], with [`ParStats::join`] filled with
-/// the cascade's kill counters (themselves worker-count invariant).
-pub fn join_tokenized_par(
-    coll: &TokenizedCollection,
-    measure: SetSimMeasure,
-    cfg: &ParConfig,
-) -> (Vec<JoinPair>, ParStats) {
-    join_tokenized_par_side(coll, measure, ProbeSide::Auto, cfg)
-}
-
-/// [`join_tokenized_par`] with an explicit probe side.
-pub fn join_tokenized_par_side(
-    coll: &TokenizedCollection,
-    measure: SetSimMeasure,
-    side: ProbeSide,
-    cfg: &ParConfig,
-) -> (Vec<JoinPair>, ParStats) {
-    measure.validate();
-    let plan = ProbePlan::choose(coll, side);
-    let index = PrefixIndex::build(plan.indexed, |s| measure.prefix_len(s));
-    magellan_obs::span_res_add("csr_index_bytes", index.index_bytes() as u64);
-    let stamp_base = PROBE_STAMPS.fetch_add(plan.probe.len() as u64, Ordering::Relaxed);
-    let (chunks, mut stats) = magellan_par::chunk_map(plan.probe.len(), cfg, |range| {
-        // Reuse the worker's thread-local scratch: stamps make stale
-        // slots (from other chunks, other joins, other probe sides)
-        // unreachable, so no per-chunk allocation or zeroing happens.
-        PROBE_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            scratch.ensure(plan.indexed.len());
-            // Nested under the pool's `chunk` span: kernel dispatch and
-            // verification merges are this scope's self-time in profiles.
-            let _verify = magellan_obs::span("verify", range.start as u64);
-            let mut out = Vec::new();
-            let mut js = JoinStats::default();
-            for p in range {
-                probe_one(
-                    p,
-                    stamp_base + p as u64,
-                    &plan.probe[p],
-                    plan.indexed,
-                    &index,
-                    measure,
-                    plan.swap,
-                    &mut scratch,
-                    &mut out,
-                    &mut js,
-                );
-            }
-            (out, js)
-        })
-    });
-    let mut out = Vec::new();
-    let mut js = JoinStats::default();
-    for (chunk_pairs, chunk_js) in chunks {
-        out.extend(chunk_pairs);
-        js.merge(&chunk_js);
+    (l, r): (usize, usize),
+    (sx, sy): (usize, usize),
+    (rest_x, rest_y): (&[u32], &[u32]),
+    counted: usize,
+    need: usize,
+    out: &mut Vec<JoinPair>,
+    stats: &mut JoinStats,
+) {
+    stats.verified += 1;
+    if gallops(rest_x, rest_y) {
+        stats.kernel_gallop += 1;
+    } else {
+        stats.kernel_merge += 1;
     }
-    out.sort_unstable_by_key(|a| (a.l, a.r));
-    js.pairs = out.len();
-    js.probe_swaps = plan.swap as usize;
-    // Same counters, two surfaces: the merged struct rides along in
-    // `ParStats` for reports, and the registry gets the canonical
-    // `magellan_simjoin_*` series (deterministic: every field is a pure
-    // function of the join inputs, so 1-worker and 8-worker runs publish
-    // identical values).
-    js.publish();
-    stats.join = js;
-    (out, stats)
+    let rest_need = need.saturating_sub(counted);
+    match overlap_sorted_bounded(rest_x, rest_y, rest_need, &mut stats.verify_steps) {
+        None => stats.killed_by_suffix += 1,
+        Some(sub) => {
+            let overlap = counted + sub;
+            debug_assert!(measure.qualifies(sx, sy, overlap));
+            out.push(JoinPair {
+                l,
+                r,
+                sim: measure.similarity(sx, sy, overlap),
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -599,6 +483,17 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The one join at K = 1 on one worker, with its cascade counters.
+    fn join(
+        coll: &TokenizedCollection,
+        measure: SetSimMeasure,
+        side: ProbeSide,
+    ) -> (Vec<JoinPair>, JoinStats) {
+        let (pairs, pstats, _) =
+            join_tokenized_sharded(coll, measure, side, 1, &ParConfig::serial());
+        (pairs, pstats.join)
     }
 
     fn pairs(join: &[JoinPair]) -> Vec<(usize, usize)> {
@@ -750,9 +645,9 @@ mod tests {
             SetSimMeasure::Dice(0.6),
             SetSimMeasure::OverlapSize(2),
         ] {
-            let (auto, s_auto) = join_tokenized_stats(&coll, measure, ProbeSide::Auto);
-            let (l, _) = join_tokenized_stats(&coll, measure, ProbeSide::Left);
-            let (r, s_r) = join_tokenized_stats(&coll, measure, ProbeSide::Right);
+            let (auto, s_auto) = join(&coll, measure, ProbeSide::Auto);
+            let (l, _) = join(&coll, measure, ProbeSide::Left);
+            let (r, s_r) = join(&coll, measure, ProbeSide::Right);
             assert_eq!(auto, l, "{measure:?} auto vs left");
             assert_eq!(auto, r, "{measure:?} auto vs right");
             assert_eq!(s_auto.pairs, auto.len());
@@ -769,7 +664,7 @@ mod tests {
         let right = soup(19, 150, 6, 20);
         let coll = TokenizedCollection::build(&left, &right, &tok);
         let measure = SetSimMeasure::Jaccard(0.5);
-        let (out, serial) = join_tokenized_stats(&coll, measure, ProbeSide::Auto);
+        let (out, serial) = join(&coll, measure, ProbeSide::Auto);
         // Every generated candidate is either killed by position or
         // verified; verification either kills by suffix or emits a pair.
         assert_eq!(
@@ -780,13 +675,15 @@ mod tests {
         assert_eq!(serial.pairs, out.len());
         assert!(serial.probes > 0 && serial.verify_steps > 0);
         // Every verification merge is attributed to exactly one kernel.
-        assert_eq!(
-            serial.kernel_merge + serial.kernel_gallop + serial.kernel_bitset,
-            serial.verified
-        );
+        assert_eq!(serial.kernel_merge + serial.kernel_gallop, serial.verified);
         for workers in [1, 4] {
-            let (pout, pstats) =
-                join_tokenized_par(&coll, measure, &ParConfig::workers(workers));
+            let (pout, pstats, _) = join_tokenized_sharded(
+                &coll,
+                measure,
+                ProbeSide::Auto,
+                1,
+                &ParConfig::workers(workers),
+            );
             assert_eq!(pout, out, "workers={workers}");
             let pj = pstats.join;
             assert_eq!(
@@ -800,8 +697,7 @@ mod tests {
                     pj.verify_steps,
                     pj.pairs,
                     pj.kernel_merge,
-                    pj.kernel_gallop,
-                    pj.kernel_bitset
+                    pj.kernel_gallop
                 ),
                 (
                     serial.probes,
@@ -813,8 +709,7 @@ mod tests {
                     serial.verify_steps,
                     serial.pairs,
                     serial.kernel_merge,
-                    serial.kernel_gallop,
-                    serial.kernel_bitset
+                    serial.kernel_gallop
                 ),
                 "workers={workers}"
             );
@@ -851,7 +746,7 @@ mod tests {
             .collect();
         let coll = TokenizedCollection::build(&left, &right, &tok);
         let measure = SetSimMeasure::OverlapSize(2);
-        let (pairs, stats) = join_tokenized_stats(&coll, measure, ProbeSide::Left);
+        let (pairs, stats) = join(&coll, measure, ProbeSide::Left);
         assert!(
             stats.kernel_gallop > 0,
             "size-skew workload must fire the gallop kernel (verified={})",
@@ -878,7 +773,7 @@ mod tests {
             SetSimMeasure::Dice(0.6),
             SetSimMeasure::OverlapSize(3),
         ] {
-            let new = join_tokenized(&coll, measure);
+            let (new, _) = join(&coll, measure, ProbeSide::Auto);
             let old = crate::reference::join_tokenized_hashmap(&coll, measure);
             assert_eq!(new, old, "{measure:?}");
         }

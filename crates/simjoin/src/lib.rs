@@ -27,12 +27,13 @@
 //! against the preserved pre-CSR engine ([`reference`]). Per-stage kill
 //! counters surface through [`magellan_par::JoinStats`].
 //!
-//! The **out-of-core tier** ([`shard`]) hash-partitions the indexed side
-//! into K shards (splitmix64 of each record's rarest token), builds and
-//! probes one shard index at a time under a fixed memory budget
-//! ([`shard::shards_for_budget`]), and merges candidate streams into the
-//! same `(l, r)`-sorted order — bit-identical to the monolithic join at
-//! any (K, worker count).
+//! There is **one join over tokenized input**,
+//! [`shard::join_tokenized_sharded`]: it hash-partitions the indexed
+//! side into K shards (splitmix64 of each record's rarest token), builds
+//! and probes one shard index at a time — K = 1 is the monolithic join,
+//! larger K keep index memory under a budget
+//! ([`shard::shards_for_budget`]) — and merges candidate streams into
+//! `(l, r)`-sorted order, bit-identical at any (K, worker count).
 //!
 //! The **incremental tier** ([`incremental`]) maintains the same join
 //! under record insert/delete/update: tombstoned CSR postings + a tail
@@ -42,9 +43,10 @@
 //!
 //! Supported measures: Jaccard, cosine, Dice, absolute overlap
 //! ([`join::set_sim_join`]) and edit distance ([`editjoin::edit_distance_join`]).
-//! Every join has a multi-threaded variant used by the production-stage
-//! executor (the `magellan-par` work-stealing pool — the paper's Dask
-//! role); parallel output is bit-identical to serial for any worker count.
+//! Parallelism is an argument, as `n_jobs` is in `py_stringsimjoin`: the
+//! set-similarity join takes a [`magellan_par::ParConfig`] (the
+//! `magellan-par` work-stealing pool — the paper's Dask role), and its
+//! output is bit-identical for any worker count.
 
 #![warn(missing_docs)]
 
@@ -60,11 +62,8 @@ pub mod verify;
 
 pub use collection::TokenizedCollection;
 pub use incremental::{IncrementalJoin, PairDelta, RecordMutation, Side};
-pub use join::{
-    join_tokenized, join_tokenized_par, join_tokenized_par_side, join_tokenized_stats,
-    set_sim_join, set_sim_join_parallel, set_sim_join_stats, JoinPair, ProbeSide, SetSimMeasure,
-};
+pub use join::{set_sim_join, set_sim_join_parallel, JoinPair, ProbeSide, SetSimMeasure};
 pub use magellan_par::JoinStats;
 pub use reference::join_tokenized_hashmap;
 pub use shard::{join_tokenized_sharded, shards_for_budget, ShardStats};
-pub use verify::{overlap_sorted_bounded, overlap_sorted_bounded_with};
+pub use verify::overlap_sorted_bounded;

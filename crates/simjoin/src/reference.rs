@@ -9,7 +9,7 @@
 //! * the **benches** (`benches/simjoin.rs`, `exp_simjoin`) measure the
 //!   CSR engine's speedup against it on the same tokenized inputs.
 //!
-//! Do not route production callers here — use [`crate::join_tokenized`].
+//! Do not route production callers here — use [`crate::join_tokenized_sharded`].
 
 use std::collections::HashMap;
 
@@ -43,7 +43,7 @@ impl HashPrefixIndex {
 /// The seed join: probe left against a HashMap prefix index over right,
 /// first-collision position filter, unbounded verification. Returns
 /// pairs sorted by `(l, r)` — the exact output contract of
-/// [`crate::join_tokenized`].
+/// [`crate::join_tokenized_sharded`].
 pub fn join_tokenized_hashmap(
     coll: &TokenizedCollection,
     measure: SetSimMeasure,

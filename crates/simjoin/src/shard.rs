@@ -1,10 +1,12 @@
-//! Hash-sharded out-of-core set-similarity join.
+//! The set-similarity join driver, hash-sharded for out-of-core runs.
 //!
-//! The CSR prefix index over a 10M-row indexed side can dwarf RAM. This
-//! module partitions the **indexed** side into `K` shards by a
-//! splitmix64 hash of each record's rarest token (its first id under the
-//! rarest-first order; empty records go to shard 0 — they can never
-//! match anyway), then builds the index and runs the probe cascade one
+//! [`join_tokenized_sharded`] is the one batch join: `K = 1` is the
+//! monolithic join, and larger `K` bound index memory. The CSR prefix
+//! index over a 10M-row indexed side can dwarf RAM. This module
+//! partitions the **indexed** side into `K` shards by a splitmix64 hash
+//! of each record's rarest token (its first id under the rarest-first
+//! order; empty records go to shard 0 — they can never match anyway),
+//! then builds the index and runs the probe cascade one
 //! shard at a time. Peak index memory is the largest single shard
 //! (~1/K of the monolithic build for any reasonably spread hash) while
 //! the full pair set still comes out.
@@ -17,8 +19,8 @@
 //! verification is exact, so a pair's presence and its f64 similarity
 //! never depend on which other records share the index; and the final
 //! `(l, r)` sort erases both shard order and chunk order. Hence the
-//! merged stream is bit-identical to the monolithic join at any
-//! `(K, worker count)`.
+//! merged stream is bit-identical to the `K = 1` (monolithic) join at
+//! any `(K, worker count)`.
 //!
 //! Cascade counters ([`magellan_par::JoinStats`]) merge across shards
 //! and remain worker-count invariant at fixed `K`; `probes` scales with
@@ -30,7 +32,9 @@ use magellan_par::{JoinStats, ParConfig, ParStats};
 
 use crate::collection::TokenizedCollection;
 use crate::index::{estimate_index_bytes, PrefixIndex};
-use crate::join::{probe_one, JoinPair, ProbePlan, ProbeSide, SetSimMeasure, PROBE_SCRATCH, PROBE_STAMPS};
+use crate::join::{
+    probe_one, JoinPair, ProbePlan, ProbeSide, SetSimMeasure, PROBE_SCRATCH, PROBE_STAMPS,
+};
 
 /// Memory + partitioning telemetry of one sharded join run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -150,10 +154,17 @@ fn predicted_peak_bytes(indexed: &[Vec<u32>], measure: SetSimMeasure, k: usize) 
         .unwrap_or(0)
 }
 
-/// Hash-sharded variant of [`crate::join_tokenized_par_side`]: same pair
-/// stream (bit-identical, `(l, r)`-sorted), built one shard index at a
-/// time. `n_shards == 1` is exactly the monolithic join (same code path
-/// modulo the local-rid remap, which is then the identity).
+/// The set-similarity join over a pre-tokenized collection — the one
+/// batch probe driver every caller goes through. The indexed side is cut
+/// into `n_shards` hash shards, and each shard's index is built, probed
+/// and dropped in turn; `n_shards == 1` is the monolithic join. Returns
+/// pairs sorted by `(l, r)`, bit-identical for every `side`, shard count
+/// and worker count, with [`ParStats::join`] holding the cascade counters
+/// and [`ShardStats`] the index-memory profile.
+///
+/// Shards index *borrowed* slices of the indexed records — no token is
+/// copied at any K. Each shard numbers its records `0..m` (global rid
+/// order), and emitted pairs are mapped back to global rids in the merge.
 ///
 /// Fault injection composes per shard: the chunk-fault region of `cfg`
 /// is offset by the shard number, so seeded chaos plans exercise
@@ -194,10 +205,11 @@ pub fn join_tokenized_sharded(
     };
 
     for (s, rids) in shard_rids.iter().enumerate() {
-        // Materialize the shard's records under local rids 0..m and
-        // build its index — the only index alive at this point.
+        // View the shard's records under local rids 0..m and build its
+        // index — the only index alive at this point.
         let build_span = magellan_obs::span("shard_build", s as u64);
-        let local: Vec<Vec<u32>> = rids.iter().map(|&r| plan.indexed[r as usize].clone()).collect();
+        let local: Vec<&[u32]> =
+            rids.iter().map(|&r| plan.indexed[r as usize].as_slice()).collect();
         let index = PrefixIndex::build(&local, |sz| measure.prefix_len(sz));
         let bytes = index.index_bytes();
         magellan_obs::span_res_add("shard_index_bytes", bytes as u64);
@@ -213,6 +225,9 @@ pub fn join_tokenized_sharded(
         let shard_stamp_base = stamp_base + (s as u64) * (n_probe as u64);
 
         let (chunks, pstats) = magellan_par::chunk_map(n_probe, &shard_cfg, |range| {
+            // Reuse the worker's thread-local scratch: stamps make stale
+            // slots (other chunks, shards, joins) unreachable, so no
+            // per-chunk allocation or zeroing happens.
             PROBE_SCRATCH.with(|cell| {
                 let mut scratch = cell.borrow_mut();
                 scratch.ensure(local.len());
@@ -262,6 +277,10 @@ pub fn join_tokenized_sharded(
     out.sort_unstable_by_key(|a| (a.l, a.r));
     js.pairs = out.len();
     js.probe_swaps = plan.swap as usize;
+    // Same counters, two surfaces: the merged struct rides along in
+    // `ParStats` for reports, and the registry gets the canonical
+    // `magellan_simjoin_*` series (every field is a pure function of the
+    // join inputs and K, so any worker count publishes the same values).
     js.publish();
     shard_stats.publish();
     par.join = js;
@@ -271,7 +290,7 @@ pub fn join_tokenized_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join::{join_tokenized_par_side, join_tokenized_stats};
+    use crate::reference::join_tokenized_hashmap;
     use magellan_textsim::tokenize::WhitespaceTokenizer;
 
     fn soup(seed: u64, n: usize, max_len: usize, vocab: usize) -> Vec<Option<String>> {
@@ -310,7 +329,9 @@ mod tests {
             SetSimMeasure::OverlapSize(2),
         ] {
             for side in [ProbeSide::Auto, ProbeSide::Left, ProbeSide::Right] {
-                let (mono, _) = join_tokenized_stats(&coll, measure, side);
+                // K = 1 is the monolithic join; every K must also match
+                // the preserved reference engine bit for bit.
+                let expect = join_tokenized_hashmap(&coll, measure);
                 for k in [1, 2, 5, 16] {
                     for workers in [1, 4] {
                         let (sharded, pstats, sstats) = join_tokenized_sharded(
@@ -321,10 +342,10 @@ mod tests {
                             &ParConfig::workers(workers),
                         );
                         assert_eq!(
-                            sharded, mono,
+                            sharded, expect,
                             "{measure:?} {side:?} K={k} workers={workers}"
                         );
-                        assert_eq!(pstats.join.pairs, mono.len());
+                        assert_eq!(pstats.join.pairs, expect.len());
                         assert_eq!(sstats.n_shards, k);
                         let total: usize = sstats.shard_records.iter().sum();
                         assert!(
@@ -380,10 +401,10 @@ mod tests {
         let right = soup(4, 5, 4, 10);
         let coll = TokenizedCollection::build(&left, &right, &tok);
         let measure = SetSimMeasure::Jaccard(0.4);
-        let (mono, _) = join_tokenized_stats(&coll, measure, ProbeSide::Left);
+        let expect = join_tokenized_hashmap(&coll, measure);
         let (sharded, _, sstats) =
             join_tokenized_sharded(&coll, measure, ProbeSide::Left, 64, &ParConfig::workers(2));
-        assert_eq!(sharded, mono);
+        assert_eq!(sharded, expect);
         assert_eq!(sstats.shard_records.len(), 64);
         // All-null collections produce no pairs and no postings.
         let nulls: Vec<Option<String>> = vec![None; 6];
@@ -401,12 +422,8 @@ mod tests {
         let right = soup(32, 150, 5, 30);
         let coll = TokenizedCollection::build(&left, &right, &tok);
         let measure = SetSimMeasure::Jaccard(0.5);
-        let (clean, _) = join_tokenized_par_side(
-            &coll,
-            measure,
-            ProbeSide::Auto,
-            &ParConfig::workers(4),
-        );
+        let (clean, _, _) =
+            join_tokenized_sharded(&coll, measure, ProbeSide::Auto, 1, &ParConfig::workers(4));
         let plan = magellan_faults::FaultPlan::seeded(11);
         let cfg = ParConfig::workers(4).with_faults(plan.chunk_faults(0xb10c));
         let (faulted, pstats, _) =

@@ -2,7 +2,8 @@
 //! (Prometheus, Chrome trace, collapsed profile) are byte-identical at
 //! any worker count, the shard lifecycle spans (`shard_build` →
 //! `shard_probe` → `shard_drop`) are present, and per-shard index bytes
-//! are attributed to the `shard_build` spans.
+//! are attributed to the `shard_build` spans. The monolithic join is
+//! the one-shard case of the same driver and carries the same contract.
 
 use magellan_obs::{Obs, ObsSnapshot};
 use magellan_par::ParConfig;
@@ -33,7 +34,7 @@ fn records(n: usize, salt: u64) -> Vec<Option<String>> {
         .collect()
 }
 
-fn run_pinned(workers: usize) -> (Vec<magellan_simjoin::JoinPair>, ObsSnapshot) {
+fn run_pinned(workers: usize, n_shards: usize) -> (Vec<magellan_simjoin::JoinPair>, ObsSnapshot) {
     let tok = WhitespaceTokenizer::new();
     let obs = Obs::pinned();
     let _g = obs.install();
@@ -44,7 +45,7 @@ fn run_pinned(workers: usize) -> (Vec<magellan_simjoin::JoinPair>, ObsSnapshot) 
         &coll,
         SetSimMeasure::Jaccard(0.5),
         ProbeSide::Left,
-        N_SHARDS,
+        n_shards,
         &cfg,
     );
     (pairs, obs.snapshot())
@@ -52,33 +53,42 @@ fn run_pinned(workers: usize) -> (Vec<magellan_simjoin::JoinPair>, ObsSnapshot) 
 
 #[test]
 fn sharded_join_pinned_exports_are_byte_identical_across_worker_counts() {
-    let (pairs1, snap1) = run_pinned(1);
-    assert!(!pairs1.is_empty(), "fixture produced no join pairs");
-    let prom1 = snap1.to_prometheus();
-    let trace1 = snap1.to_chrome_trace();
-    let prof1 = snap1.profile().to_collapsed();
+    let (monolithic, _) = run_pinned(1, 1);
+    assert!(!monolithic.is_empty(), "fixture produced no join pairs");
+    // K = 1 is the monolithic join: same driver, same contract.
+    for n_shards in [1, N_SHARDS] {
+        let (pairs1, snap1) = run_pinned(1, n_shards);
+        assert_eq!(pairs1, monolithic, "K={n_shards} changed the join result");
+        let prom1 = snap1.to_prometheus();
+        let trace1 = snap1.to_chrome_trace();
+        let prof1 = snap1.profile().to_collapsed();
 
-    // One full shard lifecycle per shard, keyed by shard number.
-    for name in ["shard_build", "shard_probe", "shard_drop"] {
-        assert_eq!(
-            snap1.spans_named(name).len(),
-            N_SHARDS,
-            "expected one {name:?} span per shard"
-        );
+        // One full shard lifecycle per shard, keyed by shard number.
+        for name in ["shard_build", "shard_probe", "shard_drop"] {
+            assert_eq!(
+                snap1.spans_named(name).len(),
+                n_shards,
+                "expected one {name:?} span per shard at K={n_shards}"
+            );
+        }
+        assert_eq!(snap1.gauge("magellan_simjoin_shards"), n_shards as f64);
+        // The kernel-verify level shows up under the probe's chunk spans.
+        assert!(!snap1.spans_named("verify").is_empty(), "verify spans missing");
+
+        for workers in [2, 4, 8] {
+            let (pairs, snap) = run_pinned(workers, n_shards);
+            let at = format!("K={n_shards} workers={workers}");
+            assert_eq!(pairs, pairs1, "{at} changed the join result");
+            assert_eq!(snap.to_prometheus(), prom1, "Prometheus diverged at {at}");
+            assert_eq!(snap.to_chrome_trace(), trace1, "Chrome trace diverged at {at}");
+            assert_eq!(snap.profile().to_collapsed(), prof1, "profile diverged at {at}");
+        }
     }
-    // The kernel-verify level shows up under the probe's chunk spans.
-    assert!(!snap1.spans_named("verify").is_empty(), "verify spans missing");
-
-    let (pairs8, snap8) = run_pinned(8);
-    assert_eq!(pairs8, pairs1, "8 workers changed the join result");
-    assert_eq!(snap8.to_prometheus(), prom1, "Prometheus diverged at 8 workers");
-    assert_eq!(snap8.to_chrome_trace(), trace1, "Chrome trace diverged at 8 workers");
-    assert_eq!(snap8.profile().to_collapsed(), prof1, "profile diverged at 8 workers");
 }
 
 #[test]
 fn shard_build_spans_carry_index_byte_attribution() {
-    let (_, snap) = run_pinned(2);
+    let (_, snap) = run_pinned(2, N_SHARDS);
     let profile = snap.profile();
     let node = profile
         .node(&["shard_build"])
@@ -96,3 +106,4 @@ fn shard_build_spans_carry_index_byte_attribution() {
     assert!(peak > 0.0);
     assert!(peak as u64 <= bytes, "peak {peak} exceeds summed shard bytes {bytes}");
 }
+

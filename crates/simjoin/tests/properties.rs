@@ -6,7 +6,7 @@
 use magellan_par::ParConfig;
 use magellan_simjoin::editjoin::edit_distance_join;
 use magellan_simjoin::{
-    join_tokenized_hashmap, join_tokenized_par_side, join_tokenized_stats, set_sim_join,
+    join_tokenized_hashmap, join_tokenized_sharded, set_sim_join,
     JoinPair, ProbeSide, SetSimMeasure, TokenizedCollection,
 };
 use magellan_textsim::seqsim::levenshtein;
@@ -88,7 +88,8 @@ proptest! {
     /// The full oracle grid for the CSR engine: random token soups ×
     /// all four measures × thresholds {0.3, 0.6, 0.8, 1.0} (mapped to
     /// small absolute counts for `OverlapSize`) × probe sides
-    /// {Auto, Left, Right} × worker counts {1, 4}. Every cell must be
+    /// {Auto, Left, Right} × shard counts {1, 3} × worker counts {1, 4}
+    /// (K = 1 is the monolithic join). Every cell must be
     /// **bit-identical** — same `(l, r)` pair set in the same order and
     /// the exact same f64 similarity — to the naive cross-product oracle
     /// and to the preserved pre-CSR HashMap engine.
@@ -144,15 +145,18 @@ proptest! {
             let reference = join_tokenized_hashmap(&coll, measure);
             prop_assert_eq!(&reference, &oracle, "reference vs oracle {:?}", measure);
             for side in [ProbeSide::Auto, ProbeSide::Left, ProbeSide::Right] {
-                let (serial, stats) = join_tokenized_stats(&coll, measure, side);
-                prop_assert_eq!(&serial, &oracle, "serial {:?} {:?}", measure, side);
-                prop_assert_eq!(stats.pairs, oracle.len());
-                for workers in [1usize, 4] {
-                    let (par, pstats) = join_tokenized_par_side(
-                        &coll, measure, side, &ParConfig::workers(workers));
-                    prop_assert_eq!(&par, &oracle,
-                        "par {:?} {:?} workers={}", measure, side, workers);
-                    prop_assert_eq!(pstats.join.pairs, oracle.len());
+                for k in [1usize, 3] {
+                    let (serial, stats, _) =
+                        join_tokenized_sharded(&coll, measure, side, k, &ParConfig::serial());
+                    prop_assert_eq!(&serial, &oracle, "serial {:?} {:?} K={}", measure, side, k);
+                    prop_assert_eq!(stats.join.pairs, oracle.len());
+                    for workers in [1usize, 4] {
+                        let (par, pstats, _) = join_tokenized_sharded(
+                            &coll, measure, side, k, &ParConfig::workers(workers));
+                        prop_assert_eq!(&par, &oracle,
+                            "par {:?} {:?} K={} workers={}", measure, side, k, workers);
+                        prop_assert_eq!(pstats.join.pairs, oracle.len());
+                    }
                 }
             }
         }

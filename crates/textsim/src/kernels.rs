@@ -1,10 +1,11 @@
 //! The SIMD-class intersection kernel tier.
 //!
-//! Every set-overlap consumer in the workspace — the `*_ids` similarity
-//! measures in [`crate::intern`], the sim-join verification stage in
-//! `magellan-simjoin`, the prepared feature cache in `magellan-features`
-//! — ultimately computes `|A ∩ B|` of two **sorted, deduplicated** `u32`
-//! slices. This module is the shared kernel layer below all of them:
+//! The feature-side set-overlap consumers — the `*_ids` similarity
+//! measures in [`crate::intern`] and the prepared feature cache in
+//! `magellan-features` — ultimately compute `|A ∩ B|` of two **sorted,
+//! deduplicated** `u32` slices. (The sim-join verification stage in
+//! `magellan-simjoin` runs its own bounded walk and shares only
+//! [`GALLOP_RATIO`].) This module is the shared kernel layer below all of them:
 //! several algorithmically different intersection kernels plus an
 //! adaptive selector, all under one hard contract:
 //!
@@ -133,8 +134,7 @@ impl KernelCounters {
 /// work between bit-identical kernels.
 static MODE: AtomicU8 = AtomicU8::new(0);
 
-/// Kernel dispatch mode for [`intersect_auto`] (and the sim-join
-/// verification tier, which honors the same switch).
+/// Kernel dispatch mode for [`intersect_auto`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// Pick bitset/gallop/merge adaptively (the default).
