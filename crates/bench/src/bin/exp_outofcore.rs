@@ -5,9 +5,10 @@
 //!    "get the table queryable + one full scan of every cell" from cold:
 //!    CSV must be re-parsed row by row, `emtbl` is opened (mmapped) and
 //!    sliced zero-copy. Acceptance: `emtbl` scan throughput ≥ 2× CSV.
-//! 2. **`emckpt v2` vs v1 size** — serialize the blocking phase's
-//!    candidate set in both checkpoint formats. Acceptance: binary v2
-//!    ≤ 0.5× the v1 text bytes.
+//! 2. **`emckpt` binary vs v1 text size** — serialize the blocking
+//!    phase's candidate set as a binary checkpoint and count the bytes the
+//!    retired line-oriented `emckpt v1` text would take. Acceptance: the
+//!    binary file ≤ 0.5× the v1 text bytes.
 //! 3. **Hash-sharded blocking under a memory budget** — join with the
 //!    1M-row side *forced to be the indexed side* (`ProbeSide::Right`),
 //!    under a budget the monolithic index exceeds. Acceptance: the
@@ -42,6 +43,20 @@ fn scan_checksum(nrows: usize, ncols: usize, mut value: impl FnMut(usize, usize)
     h
 }
 
+/// Bytes the retired `emckpt v1` text format spent on a blocked
+/// checkpoint: the magic and phase lines, `pairs <n>`, one `<l> <r>` line
+/// per pair, `end`, and the checksum trailer line (the word `sum`, the
+/// hash name `fnv1a` and 16 hex digits, space-separated: 27 bytes).
+fn v1_text_bytes(pairs: &[(u32, u32)]) -> usize {
+    let digits = |v: u32| v.checked_ilog10().unwrap_or(0) as usize + 1;
+    let lines: usize = pairs.iter().map(|&(l, r)| digits(l) + digits(r) + 2).sum();
+    "emckpt v1\nphase blocked\n".len()
+        + format!("pairs {}\n", pairs.len()).len()
+        + lines
+        + "end\n".len()
+        + 27
+}
+
 fn value_token(v: ValueRef<'_>) -> u64 {
     match v {
         ValueRef::Null => 0,
@@ -72,7 +87,7 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("scratch dir");
 
     let mut txt = String::new();
-    writeln!(txt, "Out-of-core storage tier — emtbl scan, emckpt v2, sharded blocking").unwrap();
+    writeln!(txt, "Out-of-core storage tier — emtbl scan, emckpt size, sharded blocking").unwrap();
     writeln!(txt, "corpus: products {rows_indexed} x {rows_probe}, smoke = {smoke}").unwrap();
 
     // -- corpus ------------------------------------------------------------
@@ -165,18 +180,18 @@ fn main() {
     )
     .unwrap();
 
-    // -- 2. emckpt v2 vs v1 on the blocking candidate set ------------------
+    // -- 2. emckpt binary vs v1 text on the blocking candidate set --------
     let candidates: Vec<(u32, u32)> = pairs.iter().map(|p| (p.l as u32, p.r as u32)).collect();
+    let v1_bytes = v1_text_bytes(&candidates);
     let ckpt = Checkpoint::Blocked { candidates };
-    let v1_bytes = ckpt.to_text().len();
-    let v2 = ckpt.to_bytes();
-    let v2_bytes = v2.len();
-    let back = Checkpoint::from_bytes(&v2).expect("v2 parses");
-    assert_eq!(back, ckpt, "v2 round-trip diverged");
-    let ckpt_ratio = v2_bytes as f64 / v1_bytes as f64;
+    let bin = ckpt.to_bytes();
+    let bin_bytes = bin.len();
+    let back = Checkpoint::from_bytes(&bin).expect("checkpoint parses");
+    assert_eq!(back, ckpt, "checkpoint round-trip diverged");
+    let ckpt_ratio = bin_bytes as f64 / v1_bytes as f64;
     writeln!(
         txt,
-        "emckpt: v1 text {v1_bytes}B vs v2 binary {v2_bytes}B -> {ckpt_ratio:.3}x"
+        "emckpt: v1 text {v1_bytes}B vs v3 binary {bin_bytes}B -> {ckpt_ratio:.3}x"
     )
     .unwrap();
 
@@ -194,7 +209,7 @@ fn main() {
         );
         assert!(
             ckpt_ratio <= 0.5,
-            "emckpt v2 is not <= 0.5x of v1: {ckpt_ratio:.3}x"
+            "emckpt binary is not <= 0.5x of v1 text: {ckpt_ratio:.3}x"
         );
         assert!(
             monolithic_bytes > budget,
@@ -209,7 +224,7 @@ fn main() {
     magellan_obs::log!(info, "{txt}");
 
     let json = format!(
-        "{{\n  \"experiment\": \"outofcore\",\n  \"workload\": {{\"rows_indexed\": {rows_indexed}, \"rows_probe\": {rows_probe}, \"scenario\": \"products\", \"smoke\": {smoke}}},\n  \"scan\": {{\"csv_secs\": {t_csv:.3}, \"emtbl_secs\": {t_map:.3}, \"emtbl_mode\": \"{map_mode}\", \"speedup\": {scan_speedup:.2}, \"csv_bytes\": {csv_bytes}, \"emtbl_bytes\": {tbl_bytes}}},\n  \"checkpoint\": {{\"pairs\": {}, \"v1_bytes\": {v1_bytes}, \"v2_bytes\": {v2_bytes}, \"ratio\": {ckpt_ratio:.3}}},\n  \"shards\": {{\"budget_bytes\": {budget}, \"monolithic_index_bytes\": {monolithic_bytes}, \"k\": {k}, \"peak_index_bytes\": {}, \"total_index_bytes\": {}, \"sharded_secs\": {t_shard:.2}, \"monolithic_secs\": {t_mono:.2}}}\n}}\n",
+        "{{\n  \"experiment\": \"outofcore\",\n  \"workload\": {{\"rows_indexed\": {rows_indexed}, \"rows_probe\": {rows_probe}, \"scenario\": \"products\", \"smoke\": {smoke}}},\n  \"scan\": {{\"csv_secs\": {t_csv:.3}, \"emtbl_secs\": {t_map:.3}, \"emtbl_mode\": \"{map_mode}\", \"speedup\": {scan_speedup:.2}, \"csv_bytes\": {csv_bytes}, \"emtbl_bytes\": {tbl_bytes}}},\n  \"checkpoint\": {{\"pairs\": {}, \"v1_bytes\": {v1_bytes}, \"binary_bytes\": {bin_bytes}, \"ratio\": {ckpt_ratio:.3}}},\n  \"shards\": {{\"budget_bytes\": {budget}, \"monolithic_index_bytes\": {monolithic_bytes}, \"k\": {k}, \"peak_index_bytes\": {}, \"total_index_bytes\": {}, \"sharded_secs\": {t_shard:.2}, \"monolithic_secs\": {t_mono:.2}}}\n}}\n",
         pairs.len(),
         sstats.peak_index_bytes,
         sstats.total_index_bytes,

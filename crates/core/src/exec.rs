@@ -816,8 +816,8 @@ mod tests {
         assert_eq!(rec.recovery.panics_contained, 0);
         assert_eq!(rec.recovery.checkpoints_written, 2);
         assert_eq!(rec.recovery.resumed_from, None);
-        // The Done checkpoint is durable and parseable (binary v2).
-        let ck = Checkpoint::from_bytes(store.raw_bytes().unwrap()).unwrap();
+        // The Done checkpoint is durable and parseable.
+        let ck = Checkpoint::from_bytes(&store.load_bytes().unwrap().unwrap()).unwrap();
         assert_eq!(ck.phase(), Phase::Matching);
     }
 

@@ -29,13 +29,13 @@
 //!
 //! ## Durability
 //!
-//! [`StreamSession::checkpoint_text`] serializes the session as
-//! `emstream v1` — record texts, the live candidate view (similarity
+//! [`StreamSession::checkpoint_bytes`] serializes the session as
+//! `emstream v2` — record texts, the live candidate view (similarity
 //! bits), all model scores (probability bits), per-side index generations,
-//! and the stream cursor — under the same FNV-1a trailer convention as
-//! `emckpt v1`. A daemon killed mid-stream resumes via
-//! [`StreamSession::restore_from_text`] and replays the remaining
-//! [`magellan_faults::StreamPlan`] suffix to the identical view.
+//! and the stream cursor — in the same checksummed
+//! [`magellan_table::container`] as `emckpt`. A daemon killed mid-stream
+//! resumes via [`StreamSession::restore_from_bytes`] and replays the
+//! remaining [`magellan_faults::StreamPlan`] suffix to the identical view.
 
 use std::collections::BTreeMap;
 
@@ -50,7 +50,9 @@ use magellan_simjoin::{
 use magellan_table::{Dtype, Schema, Table, Value};
 use magellan_textsim::tokenize::AlphanumericTokenizer;
 
-use crate::checkpoint::{append_checksum, verify_checksum};
+use magellan_table::container::{put_bytes, put_varint, Reader, Writer};
+
+use crate::checkpoint::corrupt;
 use crate::error::MagellanError;
 
 /// Deterministic synthetic record text for seeded streams: `n_tokens`
@@ -143,6 +145,22 @@ pub struct StreamSession {
 fn stream_schema() -> Schema {
     Schema::from_pairs(&[("id", Dtype::Str), ("text", Dtype::Str)])
         .expect("static stream schema is valid")
+}
+
+/// One side's records as a stream table: ids `<prefix><rid>`, texts (null
+/// for deleted records).
+fn side_table(
+    name: &str,
+    prefix: char,
+    texts: &[Option<String>],
+) -> Result<Table, MagellanError> {
+    let mut t = Table::with_capacity(name, stream_schema(), texts.len());
+    for (rid, text) in texts.iter().enumerate() {
+        let text = text.clone().map(Value::Str).unwrap_or(Value::Null);
+        t.push_row(vec![Value::Str(format!("{prefix}{rid}")), text])
+            .map_err(MagellanError::Table)?;
+    }
+    Ok(t)
 }
 
 impl StreamSession {
@@ -391,22 +409,8 @@ impl StreamSession {
     /// the live view right, not to serve queries.
     pub fn rebuild_oracle(&self) -> Result<Vec<((usize, usize), f64)>, MagellanError> {
         let pairs = self.engine.rebuild_from_scratch(&self.tokenizer);
-        let mut a = Table::with_capacity("oracle_left", stream_schema(), 0);
-        for (rid, t) in self.engine.texts(Side::Left).iter().enumerate() {
-            a.push_row(vec![
-                Value::Str(format!("l{rid}")),
-                t.clone().map(Value::Str).unwrap_or(Value::Null),
-            ])
-            .map_err(MagellanError::Table)?;
-        }
-        let mut b = Table::with_capacity("oracle_right", stream_schema(), 0);
-        for (rid, t) in self.engine.texts(Side::Right).iter().enumerate() {
-            b.push_row(vec![
-                Value::Str(format!("r{rid}")),
-                t.clone().map(Value::Str).unwrap_or(Value::Null),
-            ])
-            .map_err(MagellanError::Table)?;
-        }
+        let a = side_table("oracle_left", 'l', self.engine.texts(Side::Left))?;
+        let b = side_table("oracle_right", 'r', self.engine.texts(Side::Right))?;
         let pairs_u32: Vec<(u32, u32)> =
             pairs.iter().map(|p| (p.l as u32, p.r as u32)).collect();
         let mut cold = StreamingPreparedPair::new(a, b);
@@ -425,194 +429,103 @@ impl StreamSession {
     }
 
     // -----------------------------------------------------------------
-    // Checkpointing (`emstream v1`)
+    // Checkpointing (`emstream v2`)
     // -----------------------------------------------------------------
 
-    /// Serialize the session as `emstream v1` text: stream cursors, index
-    /// generations, both sides' record texts (hex-encoded, null-aware),
-    /// the live candidate view with exact similarity bits, and every model
-    /// score with exact probability bits — all under the shared FNV-1a
-    /// trailer. Model, features, measure, and threshold are *not* stored;
-    /// the resuming caller supplies the identical configuration, exactly
-    /// like the service layer reattaches label engines on resume.
-    pub fn checkpoint_text(&self) -> String {
-        let mut out = String::from("emstream v1\n");
-        out.push_str(&format!("cursor batches {} ops {}\n", self.batches, self.ops));
-        out.push_str(&format!(
-            "gens left {} right {} vocab {}\n",
+    /// Serialize the session as `emstream v2`, a
+    /// [`magellan_table::container`] of three segments:
+    ///
+    /// ```text
+    /// magic "emstr v2"
+    /// 0x01 cursor — batches, ops, left and right index generations (u64 each)
+    /// 0x02 texts  — per side: count:u64, per record present:varint (0|1)
+    ///               then the UTF-8 text as varint-prefixed bytes
+    /// 0x03 pairs  — live view then scores: count:u64, per pair l:u64 r:u64
+    ///               and the similarity / probability as f64 bits
+    /// ```
+    ///
+    /// Model, features, measure, and threshold are *not* stored; the
+    /// resuming caller supplies the identical configuration, exactly like
+    /// the service layer reattaches label engines on resume.
+    pub fn checkpoint_bytes(&self) -> Vec<u8> {
+        let cursor: Vec<u8> = [
+            self.batches,
+            self.ops,
             self.engine.index_generation(Side::Left),
             self.engine.index_generation(Side::Right),
-            self.engine.vocab_generation(),
-        ));
-        for (tag, side) in [("ltexts", Side::Left), ("rtexts", Side::Right)] {
-            let texts = self.engine.texts(side);
-            out.push_str(&format!("{tag} {}\n", texts.len()));
-            for t in texts {
-                match t {
-                    Some(s) => {
-                        out.push_str("t ");
-                        for b in s.as_bytes() {
-                            out.push_str(&format!("{b:02x}"));
-                        }
-                        out.push('\n');
-                    }
-                    None => out.push_str("t -\n"),
+        ]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+        let mut texts = Vec::new();
+        for side in [Side::Left, Side::Right] {
+            let side_texts = self.engine.texts(side);
+            texts.extend_from_slice(&(side_texts.len() as u64).to_le_bytes());
+            for t in side_texts {
+                put_varint(&mut texts, u64::from(t.is_some()));
+                if let Some(t) = t {
+                    put_bytes(&mut texts, t.as_bytes());
                 }
             }
         }
-        let live = self.engine.live_pairs();
-        out.push_str(&format!("live {}\n", live.len()));
-        for p in &live {
-            out.push_str(&format!("{} {} {:016x}\n", p.l, p.r, p.sim.to_bits()));
+        let live: Vec<_> = self.engine.live_pairs().iter().map(|p| ((p.l, p.r), p.sim)).collect();
+        let scores: Vec<_> = self.scores.iter().map(|(&k, &p)| (k, p)).collect();
+        let mut pairs = Vec::new();
+        for list in [live, scores] {
+            pairs.extend_from_slice(&(list.len() as u64).to_le_bytes());
+            for ((l, r), x) in list {
+                for word in [l as u64, r as u64, x.to_bits()] {
+                    pairs.extend_from_slice(&word.to_le_bytes());
+                }
+            }
         }
-        out.push_str(&format!("scores {}\n", self.scores.len()));
-        for (&(l, r), &p) in &self.scores {
-            out.push_str(&format!("{l} {r} {:016x}\n", p.to_bits()));
-        }
-        out.push_str("end\n");
-        append_checksum(&mut out);
-        out
+        let write = || -> std::io::Result<Vec<u8>> {
+            let mut w = Writer::new(Vec::new(), STREAM_MAGIC)?;
+            w.segment(SEG_CURSOR, &cursor)?;
+            w.segment(SEG_TEXTS, &texts)?;
+            w.segment(SEG_PAIRS, &pairs)?;
+            w.finish()
+        };
+        write().expect("writing to a Vec cannot fail")
     }
 
-    /// Restore a session from `emstream v1` text plus the (identical)
+    /// Restore a session from `emstream v2` bytes plus the (identical)
     /// configuration it was created with. Index generations are pinned to
     /// the stored values, so generation monotonicity survives the crash;
-    /// the live view and all score bits restore exactly.
-    pub fn restore_from_text(
-        text: &str,
+    /// the live view and all score bits restore exactly. Any framing
+    /// error, and any pair naming a record outside the restored texts, is
+    /// a fatal [`MagellanError::Checkpoint`].
+    pub fn restore_from_bytes(
+        data: &[u8],
         measure: SetSimMeasure,
         features: Vec<Feature>,
         forest: FlatForest,
         threshold: f64,
         par: ParConfig,
     ) -> Result<StreamSession, MagellanError> {
-        let magic = text.lines().next().ok_or_else(|| stream_corrupt("empty checkpoint"))?;
-        if magic.trim() != "emstream v1" {
-            return Err(stream_corrupt(format!("bad magic `{magic}`")));
-        }
-        let payload = verify_checksum(text)?;
-        let mut lines = payload.lines();
-        lines.next(); // magic
-        let cursor = lines
-            .next()
-            .ok_or_else(|| stream_corrupt("missing cursor line"))?;
-        let c: Vec<&str> = cursor.split_whitespace().collect();
-        if c.len() != 5 || c[0] != "cursor" || c[1] != "batches" || c[3] != "ops" {
-            return Err(stream_corrupt(format!("bad cursor line `{cursor}`")));
-        }
-        let batches: u64 = c[2].parse().map_err(|_| stream_corrupt("bad batches"))?;
-        let ops: u64 = c[4].parse().map_err(|_| stream_corrupt("bad ops"))?;
-        let gens = lines.next().ok_or_else(|| stream_corrupt("missing gens line"))?;
-        let g: Vec<&str> = gens.split_whitespace().collect();
-        if g.len() != 7 || g[0] != "gens" {
-            return Err(stream_corrupt(format!("bad gens line `{gens}`")));
-        }
-        let lgen: u64 = g[2].parse().map_err(|_| stream_corrupt("bad left gen"))?;
-        let rgen: u64 = g[4].parse().map_err(|_| stream_corrupt("bad right gen"))?;
-
-        let mut read_texts = |tag: &str| -> Result<Vec<Option<String>>, MagellanError> {
-            let header = lines
-                .next()
-                .ok_or_else(|| stream_corrupt(format!("missing `{tag}` header")))?;
-            let n: usize = header
-                .strip_prefix(tag)
-                .and_then(|v| v.trim().parse().ok())
-                .ok_or_else(|| stream_corrupt(format!("bad `{tag}` header `{header}`")))?;
-            let mut texts = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                let line = lines
-                    .next()
-                    .ok_or_else(|| stream_corrupt("truncated text list"))?;
-                let body = line
-                    .strip_prefix("t ")
-                    .ok_or_else(|| stream_corrupt(format!("bad text line `{line}`")))?;
-                if body == "-" {
-                    texts.push(None);
-                } else {
-                    texts.push(Some(hex_to_string(body)?));
-                }
-            }
-            Ok(texts)
-        };
-        let left_texts = read_texts("ltexts")?;
-        let right_texts = read_texts("rtexts")?;
-
-        let mut read_pairs = |tag: &str| -> Result<Vec<(usize, usize, u64)>, MagellanError> {
-            let header = lines
-                .next()
-                .ok_or_else(|| stream_corrupt(format!("missing `{tag}` header")))?;
-            let n: usize = header
-                .strip_prefix(tag)
-                .and_then(|v| v.trim().parse().ok())
-                .ok_or_else(|| stream_corrupt(format!("bad `{tag}` header `{header}`")))?;
-            let mut out = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                let line = lines.next().ok_or_else(|| stream_corrupt("truncated pair list"))?;
-                let f: Vec<&str> = line.split_whitespace().collect();
-                let parsed = (|| {
-                    if f.len() != 3 {
-                        return None;
-                    }
-                    Some((
-                        f[0].parse::<usize>().ok()?,
-                        f[1].parse::<usize>().ok()?,
-                        u64::from_str_radix(f[2], 16).ok()?,
-                    ))
-                })()
-                .ok_or_else(|| stream_corrupt(format!("bad pair line `{line}`")))?;
-                out.push(parsed);
-            }
-            Ok(out)
-        };
-        let live = read_pairs("live")?;
-        let scores = read_pairs("scores")?;
-        match lines.next() {
-            Some(l) if l.trim() == "end" => {}
-            other => {
-                return Err(stream_corrupt(format!(
-                    "expected `end`, got `{}`",
-                    other.unwrap_or("<eof>")
-                )))
-            }
-        }
-
+        let snap = Snapshot::decode(data).map_err(|e| corrupt("stream checkpoint", e))?;
+        let [left_texts, right_texts] = snap.texts;
+        let a = side_table("stream_left", 'l', &left_texts)?;
+        let b = side_table("stream_right", 'r', &right_texts)?;
         let tokenizer = AlphanumericTokenizer::as_set();
-        let live_pairs: Vec<JoinPair> = live
+        let live_pairs: Vec<JoinPair> = snap
+            .live
             .iter()
-            .map(|&(l, r, bits)| JoinPair {
-                l,
-                r,
-                sim: f64::from_bits(bits),
-            })
+            .map(|&((l, r), sim)| JoinPair { l, r, sim })
             .collect();
         let engine = IncrementalJoin::restore(
             measure,
             &tokenizer,
-            left_texts.clone(),
-            right_texts.clone(),
+            left_texts,
+            right_texts,
             live_pairs,
-            lgen,
-            rgen,
+            snap.gens[0],
+            snap.gens[1],
         );
-        let mut a = Table::with_capacity("stream_left", stream_schema(), left_texts.len());
-        for (rid, t) in left_texts.iter().enumerate() {
-            a.push_row(vec![
-                Value::Str(format!("l{rid}")),
-                t.clone().map(Value::Str).unwrap_or(Value::Null),
-            ])
-            .map_err(MagellanError::Table)?;
-        }
-        let mut b = Table::with_capacity("stream_right", stream_schema(), right_texts.len());
-        for (rid, t) in right_texts.iter().enumerate() {
-            b.push_row(vec![
-                Value::Str(format!("r{rid}")),
-                t.clone().map(Value::Str).unwrap_or(Value::Null),
-            ])
-            .map_err(MagellanError::Table)?;
-        }
-        let candidates: CandidateSet = live
+        let candidates: CandidateSet = snap
+            .live
             .iter()
-            .map(|&(l, r, _)| (l as u32, r as u32))
+            .map(|&((l, r), _)| (l as u32, r as u32))
             .collect();
         Ok(StreamSession {
             engine,
@@ -621,35 +534,86 @@ impl StreamSession {
             features,
             forest,
             candidates,
-            scores: scores
-                .into_iter()
-                .map(|(l, r, bits)| ((l, r), f64::from_bits(bits)))
-                .collect(),
+            scores: snap.scores.into_iter().collect(),
             threshold,
             par,
-            batches,
-            ops,
+            batches: snap.batches,
+            ops: snap.ops,
         })
     }
 }
 
-fn hex_to_string(hex: &str) -> Result<String, MagellanError> {
-    if hex.len() % 2 != 0 {
-        return Err(stream_corrupt("odd-length hex text"));
-    }
-    let mut bytes = Vec::with_capacity(hex.len() / 2);
-    for i in (0..hex.len()).step_by(2) {
-        let b = u8::from_str_radix(&hex[i..i + 2], 16)
-            .map_err(|_| stream_corrupt(format!("bad hex byte `{}`", &hex[i..i + 2])))?;
-        bytes.push(b);
-    }
-    String::from_utf8(bytes).map_err(|_| stream_corrupt("checkpointed text is not UTF-8"))
+/// Container magic of the current `emstream` version.
+const STREAM_MAGIC: &[u8; 8] = b"emstr v2";
+const SEG_CURSOR: u64 = 0x01;
+const SEG_TEXTS: u64 = 0x02;
+const SEG_PAIRS: u64 = 0x03;
+
+/// The stored state of an `emstream v2` checkpoint.
+struct Snapshot {
+    batches: u64,
+    ops: u64,
+    gens: [u64; 2],
+    texts: [Vec<Option<String>>; 2],
+    live: Vec<((usize, usize), f64)>,
+    scores: Vec<((usize, usize), f64)>,
 }
 
-fn stream_corrupt(msg: impl std::fmt::Display) -> MagellanError {
-    MagellanError::Checkpoint {
-        message: format!("corrupt stream checkpoint: {msg}"),
-        transient: false,
+impl Snapshot {
+    fn decode(data: &[u8]) -> magellan_table::Result<Snapshot> {
+        let mut file = Reader::open(data, STREAM_MAGIC)?;
+        let mut cursor = file.segment(SEG_CURSOR)?;
+        let mut texts = file.segment(SEG_TEXTS)?;
+        let mut pairs = file.segment(SEG_PAIRS)?;
+        file.finish()?;
+        let (batches, ops) = (cursor.u64()?, cursor.u64()?);
+        let gens = [cursor.u64()?, cursor.u64()?];
+        cursor.finish()?;
+        let mut side_texts = || -> magellan_table::Result<Vec<Option<String>>> {
+            let n = texts.u64()?;
+            let mut out = Vec::with_capacity(n.min(1 << 20) as usize);
+            for _ in 0..n {
+                out.push(match texts.varint()? {
+                    0 => None,
+                    1 => Some(
+                        std::str::from_utf8(texts.bytes()?)
+                            .map_err(|_| texts.error("checkpointed text is not UTF-8"))?
+                            .to_owned(),
+                    ),
+                    flag => return Err(texts.error(format!("bad text presence flag {flag}"))),
+                });
+            }
+            Ok(out)
+        };
+        let sides = [side_texts()?, side_texts()?];
+        texts.finish()?;
+        let mut pair_list = || -> magellan_table::Result<Vec<((usize, usize), f64)>> {
+            let n = pairs.u64()?;
+            let mut out = Vec::with_capacity(n.min(1 << 20) as usize);
+            for _ in 0..n {
+                let (l, r, x) = (pairs.u64()?, pairs.u64()?, f64::from_bits(pairs.u64()?));
+                if l >= sides[0].len() as u64 || r >= sides[1].len() as u64 {
+                    return Err(pairs.error(format!(
+                        "pair ({l}, {r}) names a record outside the {} x {} restored texts",
+                        sides[0].len(),
+                        sides[1].len()
+                    )));
+                }
+                out.push(((l as usize, r as usize), x));
+            }
+            Ok(out)
+        };
+        let live = pair_list()?;
+        let scores = pair_list()?;
+        pairs.finish()?;
+        Ok(Snapshot {
+            batches,
+            ops,
+            gens,
+            texts: sides,
+            live,
+            scores,
+        })
     }
 }
 
@@ -766,11 +730,11 @@ mod tests {
         // Killed run: 6 batches, checkpoint, "crash", restore, 8 more.
         let mut first = session(1);
         drive(&mut first, 23, 6, 7);
-        let ckpt = first.checkpoint_text();
+        let ckpt = first.checkpoint_bytes();
         let gen_l = first.engine().index_generation(Side::Left);
         let gen_r = first.engine().index_generation(Side::Right);
         drop(first);
-        let mut resumed = StreamSession::restore_from_text(
+        let mut resumed = StreamSession::restore_from_bytes(
             &ckpt,
             SetSimMeasure::Jaccard(0.4),
             stream_features(),
@@ -796,28 +760,72 @@ mod tests {
         assert_eq!(vr.len(), oracle.len());
     }
 
-    /// Corruption in any checkpoint section is a fatal, precise error.
+    fn restore(bytes: &[u8]) -> Result<StreamSession, MagellanError> {
+        StreamSession::restore_from_bytes(
+            bytes,
+            SetSimMeasure::Jaccard(0.4),
+            stream_features(),
+            fixture_forest(3),
+            0.5,
+            ParConfig::serial(),
+        )
+    }
+
+    /// Framing errors are the container's (its matrix covers every flip
+    /// and prefix); here one of each goes through this reader, plus a v1
+    /// file.
     #[test]
     fn corrupt_checkpoints_are_fatal() {
         let mut s = session(1);
         drive(&mut s, 5, 3, 5);
-        let good = s.checkpoint_text();
-        let restore = |t: &str| {
-            StreamSession::restore_from_text(
-                t,
-                SetSimMeasure::Jaccard(0.4),
-                stream_features(),
-                fixture_forest(3),
-                0.5,
-                ParConfig::serial(),
-            )
-        };
+        let good = s.checkpoint_bytes();
         assert!(restore(&good).is_ok());
-        assert!(restore("").is_err());
-        assert!(restore("emckpt v1\n").is_err());
-        let torn = &good[..good.len() / 2];
-        assert!(restore(torn).is_err());
-        let tampered = good.replace("cursor batches 3", "cursor batches 4");
-        assert!(restore(&tampered).is_err(), "checksum must catch tampering");
+        let fails = |b: &[u8], needle: &str| {
+            let err = restore(b).err().expect("corrupt checkpoint restored");
+            assert!(err.fatal() && err.to_string().contains(needle), "{err}");
+        };
+        fails(&good[..good.len() / 2], "stream checkpoint");
+        let mut tampered = good.clone();
+        tampered[24] ^= 0x01; // the cursor's batch count
+        fails(&tampered, "checksum mismatch");
+        fails(b"emstream v1\ncursor batches 0 ops 0\n", "unsupported version");
+        fails(b"", "bad magic");
+    }
+
+    /// A checksummed checkpoint whose pairs name records that do not
+    /// exist is corrupt, not a session with phantom candidates.
+    #[test]
+    fn out_of_range_pairs_are_rejected() {
+        let one_text = |n: u64| {
+            let mut t = n.to_le_bytes().to_vec();
+            for _ in 0..n {
+                put_varint(&mut t, 1);
+                put_bytes(&mut t, b"alpha beta");
+            }
+            t
+        };
+        let mut texts = one_text(1);
+        texts.extend(one_text(1));
+        for (l, r) in [(999u64, 999u64), (0, 1), (1, 0)] {
+            for live in [true, false] {
+                let mut list = 1u64.to_le_bytes().to_vec();
+                for w in [l, r, 0.5f64.to_bits()] {
+                    list.extend_from_slice(&w.to_le_bytes());
+                }
+                let empty = 0u64.to_le_bytes().to_vec();
+                let pairs: Vec<u8> = if live {
+                    [list, empty].concat()
+                } else {
+                    [empty, list].concat()
+                };
+                let mut w = Writer::new(Vec::new(), STREAM_MAGIC).unwrap();
+                w.segment(SEG_CURSOR, &[0u8; 32]).unwrap();
+                w.segment(SEG_TEXTS, &texts).unwrap();
+                w.segment(SEG_PAIRS, &pairs).unwrap();
+                let err = restore(&w.finish().unwrap()).err().expect("phantom pair restored");
+                assert!(err.fatal(), "{err}");
+                assert!(err.to_string().contains("outside the 1 x 1 restored texts"), "{err}");
+            }
+        }
     }
 }

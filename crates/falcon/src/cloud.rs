@@ -460,13 +460,6 @@ pub(crate) fn score_matches(
     )
 }
 
-/// Stable FNV-1a hash of a task name, used to key task spans.
-pub(crate) fn name_key(name: &str) -> u64 {
-    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 impl CloudMatcher {
     /// Run one task end to end; returns its Table 2 row and its DAG
     /// fragments for the metamanager.
@@ -476,7 +469,8 @@ impl CloudMatcher {
     ) -> magellan_table::Result<(TaskOutcome, Vec<Fragment>)> {
         // Key the task span by a stable hash of the task name so traces
         // of multi-task submissions keep one span per task.
-        let _task_span = magellan_obs::span("falcon_task", name_key(&spec.name));
+        let task_key = magellan_obs::fnv1a(spec.name.as_bytes());
+        let _task_span = magellan_obs::span("falcon_task", task_key);
         let cm = self.cost_model;
 
         let t0 = Instant::now();

@@ -36,13 +36,14 @@
 
 use std::collections::BTreeMap;
 
-use magellan_core::checkpoint::{append_checksum, verify_checksum, CheckpointStore};
+use magellan_core::checkpoint::CheckpointStore;
 use magellan_core::MagellanError;
 use magellan_faults::{run_with_retry, Budget, FaultPlan, RetryPolicy, SimClock};
 use magellan_obs::{EvVal, Histogram};
+use magellan_table::container::{Reader, Writer};
 
 use crate::cloud::{
-    engine_span_name, execute_labeling, name_key, resolve_fragment, score_matches, sim_ns,
+    engine_span_name, execute_labeling, resolve_fragment, score_matches, sim_ns,
     CostModel, Engine, Fragment, ScheduleRecoveryOptions, ScheduleTelemetry, TaskOutcome,
     TaskSpec,
 };
@@ -737,19 +738,24 @@ fn run_workload(
 }
 
 // ---------------------------------------------------------------------
-// Service checkpoint (`emsvc v1`)
+// Service checkpoint (`emsvc v2`)
 // ---------------------------------------------------------------------
 
-/// Serialize completed workload runs as `emsvc v1` text (same checksum
-/// trailer convention as `emckpt v1`). All floats are stored as IEEE-754
-/// bit patterns so restoration is byte-identical.
-fn runs_to_text(runs: &BTreeMap<usize, WorkloadRun>) -> String {
-    let mut out = String::from("emsvc v1\n");
-    out.push_str(&format!("runs {}\n", runs.len()));
-    for (i, r) in runs {
+/// Container magic of the current `emsvc` version.
+const SVC_MAGIC: &[u8; 8] = b"emsvc v2";
+const SEG_RUNS: u64 = 0x01;
+
+/// Serialize completed workload runs as `emsvc v2`: a
+/// [`magellan_table::container`] whose one segment is `count:u64`, then
+/// per run fifteen fixed-width words — the submission index, eight
+/// counters, and six floats as IEEE-754 bit patterns, so restoration is
+/// byte-identical.
+fn runs_to_bytes(runs: &BTreeMap<usize, WorkloadRun>) -> Vec<u8> {
+    let mut payload = (runs.len() as u64).to_le_bytes().to_vec();
+    for (&i, r) in runs {
         let o = &r.outcome;
-        out.push_str(&format!(
-            "run {i} {} {} {} {} {} {} {} {} {:016x} {:016x} {:016x} {:016x} {:016x} {:016x}\n",
+        let ints = [
+            i,
             r.questions_blocking,
             r.questions_matching,
             o.questions,
@@ -758,102 +764,92 @@ fn runs_to_text(runs: &BTreeMap<usize, WorkloadRun>) -> String {
             o.crowd_degraded_questions,
             o.rows.0,
             o.rows.1,
-            o.precision.to_bits(),
-            o.recall.to_bits(),
-            o.crowd_cost.to_bits(),
-            o.compute_cost.to_bits(),
-            o.label_time_s.to_bits(),
-            o.machine_time_s.to_bits(),
-        ));
+        ];
+        let floats = [
+            o.precision,
+            o.recall,
+            o.crowd_cost,
+            o.compute_cost,
+            o.label_time_s,
+            o.machine_time_s,
+        ];
+        let words = ints.map(|v| v as u64).into_iter().chain(floats.map(f64::to_bits));
+        for w in words {
+            payload.extend_from_slice(&w.to_le_bytes());
+        }
     }
-    out.push_str("end\n");
-    append_checksum(&mut out);
-    out
+    let write = || -> std::io::Result<Vec<u8>> {
+        let mut w = Writer::new(Vec::new(), SVC_MAGIC)?;
+        w.segment(SEG_RUNS, &payload)?;
+        w.finish()
+    };
+    write().expect("writing to a Vec cannot fail")
 }
 
-fn svc_corrupt(msg: impl std::fmt::Display) -> MagellanError {
-    MagellanError::Checkpoint {
-        message: format!("corrupt service checkpoint: {msg}"),
-        transient: false,
-    }
-}
-
-/// Parse `emsvc v1` text back into the completed-run map. Names and
-/// label engines are reattached from the submissions at resume time, so
-/// only the deterministic numbers are stored.
-fn runs_from_text(
-    text: &str,
+/// Parse `emsvc v2` back into the completed-run map; every failure is a
+/// fatal [`MagellanError::Checkpoint`]. Names and label engines are
+/// reattached from the submissions at resume time, so only the
+/// deterministic numbers are stored.
+fn runs_from_bytes(
+    data: &[u8],
     subs: &[TenantSubmission<'_>],
 ) -> Result<BTreeMap<usize, WorkloadRun>, MagellanError> {
-    let magic = text.lines().next().ok_or_else(|| svc_corrupt("empty"))?;
-    if magic.trim() != "emsvc v1" {
-        return Err(svc_corrupt(format!("bad magic `{magic}`")));
-    }
-    let payload = verify_checksum(text)?;
-    let mut lines = payload.lines();
-    lines.next(); // magic
-    let n: usize = lines
-        .next()
-        .and_then(|l| l.strip_prefix("runs "))
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| svc_corrupt("missing `runs <n>` line"))?;
-    let mut runs = BTreeMap::new();
-    for _ in 0..n {
-        let line = lines.next().ok_or_else(|| svc_corrupt("truncated run list"))?;
-        let f: Vec<&str> = line.split_whitespace().collect();
-        if f.len() != 16 || f[0] != "run" {
-            return Err(svc_corrupt(format!("bad run line `{line}`")));
-        }
-        let idx: usize = f[1].parse().map_err(|_| svc_corrupt("bad run index"))?;
-        let sub = subs
-            .get(idx)
-            .ok_or_else(|| svc_corrupt(format!("run index {idx} out of range")))?;
-        let ints: Vec<usize> = f[2..10]
-            .iter()
-            .map(|v| v.parse().map_err(|_| svc_corrupt(format!("bad integer in `{line}`"))))
-            .collect::<Result<_, _>>()?;
-        let bits: Vec<u64> = f[10..16]
-            .iter()
-            .map(|v| {
-                u64::from_str_radix(v, 16)
-                    .map_err(|_| svc_corrupt(format!("bad float bits in `{line}`")))
-            })
-            .collect::<Result<_, _>>()?;
-        let crowd = match &sub.workload {
-            Workload::Em(spec) => matches!(spec.labeling, crate::cloud::LabelingMode::Crowd { .. }),
-            Workload::Synthetic(s) => s.crowd,
-        };
-        let name = match &sub.workload {
-            Workload::Em(spec) => spec.name.clone(),
-            Workload::Synthetic(_) => sub.tenant.name.clone(),
-        };
-        runs.insert(
-            idx,
-            WorkloadRun {
-                outcome: TaskOutcome {
-                    name,
-                    rows: (ints[6], ints[7]),
-                    precision: f64::from_bits(bits[0]),
-                    recall: f64::from_bits(bits[1]),
-                    questions: ints[2],
-                    crowd_cost: f64::from_bits(bits[2]),
-                    compute_cost: f64::from_bits(bits[3]),
-                    label_time_s: f64::from_bits(bits[4]),
-                    machine_time_s: f64::from_bits(bits[5]),
-                    n_candidates: ints[3],
-                    crowd_no_shows: ints[4],
-                    crowd_degraded_questions: ints[5],
+    let decode = || -> magellan_table::Result<BTreeMap<usize, WorkloadRun>> {
+        let mut file = Reader::open(data, SVC_MAGIC)?;
+        let mut c = file.segment(SEG_RUNS)?;
+        file.finish()?;
+        let mut runs = BTreeMap::new();
+        for _ in 0..c.u64()? {
+            let idx = c.u64()?;
+            let sub = usize::try_from(idx)
+                .ok()
+                .and_then(|i| subs.get(i))
+                .ok_or_else(|| c.error(format!("run index {idx} out of range")))?;
+            let mut ints = [0usize; 8];
+            for v in &mut ints {
+                *v = c.u64()? as usize;
+            }
+            let mut floats = [0f64; 6];
+            for v in &mut floats {
+                *v = f64::from_bits(c.u64()?);
+            }
+            let (name, crowd) = match &sub.workload {
+                Workload::Em(spec) => (
+                    spec.name.clone(),
+                    matches!(spec.labeling, crate::cloud::LabelingMode::Crowd { .. }),
+                ),
+                Workload::Synthetic(s) => (sub.tenant.name.clone(), s.crowd),
+            };
+            runs.insert(
+                idx as usize,
+                WorkloadRun {
+                    outcome: TaskOutcome {
+                        name,
+                        rows: (ints[6], ints[7]),
+                        precision: floats[0],
+                        recall: floats[1],
+                        questions: ints[2],
+                        crowd_cost: floats[2],
+                        compute_cost: floats[3],
+                        label_time_s: floats[4],
+                        machine_time_s: floats[5],
+                        n_candidates: ints[3],
+                        crowd_no_shows: ints[4],
+                        crowd_degraded_questions: ints[5],
+                    },
+                    questions_blocking: ints[0],
+                    questions_matching: ints[1],
+                    label_engine: if crowd { Engine::Crowd } else { Engine::UserInteraction },
                 },
-                questions_blocking: ints[0],
-                questions_matching: ints[1],
-                label_engine: if crowd { Engine::Crowd } else { Engine::UserInteraction },
-            },
-        );
-    }
-    match lines.next() {
-        Some(l) if l.trim() == "end" => Ok(runs),
-        _ => Err(svc_corrupt("missing `end` terminator")),
-    }
+            );
+        }
+        c.finish()?;
+        Ok(runs)
+    };
+    decode().map_err(|e| MagellanError::Checkpoint {
+        message: format!("corrupt service checkpoint: {e}"),
+        transient: false,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -915,7 +911,7 @@ impl MatchService {
     }
 
     /// Run with durable checkpointing: each completed tenant workload is
-    /// appended to an `emsvc v1` checkpoint in `store` (saved under the
+    /// appended to an `emsvc v2` checkpoint in `store` (saved under the
     /// retry policy), and a fresh run against a store holding a prior
     /// checkpoint skips re-running those workloads — the resumed report
     /// is bit-identical to an uninterrupted run.
@@ -957,9 +953,9 @@ impl MatchService {
         // Resume: restore completed workload runs from the store.
         let mut runs: BTreeMap<usize, WorkloadRun> = match store.as_mut() {
             Some(s) => {
-                let loaded = run_with_retry(&cfg.retry, &mut io_clock, |_| s.load())?;
+                let loaded = run_with_retry(&cfg.retry, &mut io_clock, |_| s.load_bytes())?;
                 match loaded {
-                    Some(text) => runs_from_text(&text, subs)?,
+                    Some(bytes) => runs_from_bytes(&bytes, subs)?,
                     None => BTreeMap::new(),
                 }
             }
@@ -1021,8 +1017,8 @@ impl MatchService {
             ($i:expr, $t:expr) => {{
                 let i: usize = $i;
                 let t: f64 = $t;
-                let _tenant_span =
-                    magellan_obs::span("tenant", name_key(&subs[i].tenant.name));
+                let tenant_key = magellan_obs::fnv1a(subs[i].tenant.name.as_bytes());
+                let _tenant_span = magellan_obs::span("tenant", tenant_key);
                 // Tenant-level transient failures delay activation under
                 // the retry policy (bounded per tenant, so this always
                 // converges).
@@ -1048,8 +1044,8 @@ impl MatchService {
                         runs.insert(i, r.clone());
                         fresh_runs += 1;
                         if let Some(s) = store.as_mut() {
-                            let text = runs_to_text(&runs);
-                            run_with_retry(&cfg.retry, &mut io_clock, |_| s.save(&text))?;
+                            let bytes = runs_to_bytes(&runs);
+                            run_with_retry(&cfg.retry, &mut io_clock, |_| s.save_bytes(&bytes))?;
                         }
                         if cfg.kill_after_tenants == Some(fresh_runs) {
                             magellan_obs::event(
@@ -1703,33 +1699,33 @@ mod tests {
         }
     }
 
+    /// Framing errors are the container's (its matrix covers every flip
+    /// and prefix); here one of each goes through this reader, plus a v1
+    /// file and a run index no submission has.
     #[test]
     fn corrupt_service_checkpoints_are_fatal_not_half_parsed() {
         let subs = vec![synth(0, 0.0, false, TenantQuota::unlimited())];
         let svc = MatchService::new(ServiceConfig::default()).unwrap();
-
-        // No checksum trailer at all.
-        let mut store = MemStore::default();
-        store.save("emsvc v1\nruns 0\nend\n").unwrap();
-        let err = svc.run_with_checkpoint(&subs, &mut store).unwrap_err();
-        assert!(err.fatal() && err.to_string().contains("checksum"));
-
-        // A digit flipped under a stale checksum.
+        let fails = |bytes: &[u8], needle: &str| {
+            let mut store = MemStore::default();
+            store.save_bytes(bytes).unwrap();
+            let err = svc.run_with_checkpoint(&subs, &mut store).unwrap_err();
+            assert!(err.fatal() && err.to_string().contains(needle), "{err}");
+        };
         let mut runs = BTreeMap::new();
         runs.insert(0usize, run_workload(&subs[0], &svc.config).unwrap());
-        let good = runs_to_text(&runs);
-        assert!(runs_from_text(&good, &subs).is_ok());
-        let tampered = good.replacen("run 0", "run 9", 1);
-        let mut store = MemStore::default();
-        store.save(&tampered).unwrap();
-        let err = svc.run_with_checkpoint(&subs, &mut store).unwrap_err();
-        assert!(err.fatal() && err.to_string().contains("checksum mismatch"));
-
-        // Bad magic is diagnosed as such, before the checksum.
-        let mut store = MemStore::default();
-        store.save("emckpt v1\n").unwrap();
-        let err = svc.run_with_checkpoint(&subs, &mut store).unwrap_err();
-        assert!(err.to_string().contains("bad magic"));
+        let good = runs_to_bytes(&runs);
+        assert!(runs_from_bytes(&good, &subs).is_ok());
+        let mut tampered = good.clone();
+        tampered[32] ^= 0x01; // the run index
+        fails(&tampered, "checksum mismatch");
+        fails(&good[..good.len() - 1], "corrupt service checkpoint");
+        fails(b"emsvc v1\nruns 0\nend\n", "unsupported version");
+        fails(b"emckptv3", "bad magic");
+        // A well-framed run for a submission that does not exist.
+        let mut other = BTreeMap::new();
+        other.insert(9usize, runs[&0].clone());
+        fails(&runs_to_bytes(&other), "run index 9 out of range");
     }
 
     #[test]
@@ -1740,8 +1736,7 @@ mod tests {
         for (i, sub) in subs.iter().enumerate() {
             runs.insert(i, run_workload(sub, &cfg).unwrap());
         }
-        let text = runs_to_text(&runs);
-        let back = runs_from_text(&text, &subs).unwrap();
+        let back = runs_from_bytes(&runs_to_bytes(&runs), &subs).unwrap();
         assert_eq!(back.len(), 3);
         for (i, r) in &runs {
             let b = &back[i];

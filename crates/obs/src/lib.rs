@@ -105,11 +105,13 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over a name: stable across runs and platforms.
-fn hash_name(name: &str) -> u64 {
+/// 64-bit FNV-1a: stable across runs and platforms. The one
+/// implementation in the workspace — span ids, checksums of every
+/// on-disk format and q-gram signatures all hash through it.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
+    for &b in bytes {
+        h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
@@ -117,7 +119,7 @@ fn hash_name(name: &str) -> u64 {
 
 /// Deterministic span id: a pure function of `(parent, name, key)`.
 pub fn span_id(parent: u64, name: &str, key: u64) -> u64 {
-    let mut h = splitmix64(parent ^ hash_name(name));
+    let mut h = splitmix64(parent ^ fnv1a(name.as_bytes()));
     h = splitmix64(h ^ key);
     // Reserve 0 for "no parent".
     h.max(1)
@@ -676,6 +678,12 @@ pub fn flight_dump_path() -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_pinned_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+    }
 
     #[test]
     fn disabled_surface_is_a_no_op() {

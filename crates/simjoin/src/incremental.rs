@@ -339,11 +339,6 @@ impl IncrementalJoin {
         }
     }
 
-    /// Vocabulary generation of the shared interner.
-    pub fn vocab_generation(&self) -> u64 {
-        self.interner.generation()
-    }
-
     /// The live view as `(l, r)`-sorted pairs — the same shape (and, by
     /// the determinism contract, the same bits) as the batch join.
     pub fn live_pairs(&self) -> Vec<JoinPair> {

@@ -10,21 +10,17 @@
 //! identical semantics. Either way no row is ever materialized: the chunk
 //! executor slices straight into the mapped buffer.
 //!
-//! ## Layout (`emtbl v1`, little-endian, all segments 8-byte aligned)
+//! ## Layout (`emtbl v2`)
+//!
+//! An `emtbl` file is a [`crate::container`] with magic `"emtbl v2"`:
+//! the schema segment, then one segment per column, then the end segment.
 //!
 //! ```text
-//! magic    8B  "emtbl v1"
-//! nrows    8B  u64
-//! ncols    4B  u32
-//! per col:     u32 name_len, name bytes (UTF-8), u8 dtype code
-//! pad to 8B
-//! checksum 8B  FNV-1a of everything above
-//! per col:     u64 payload_len (padded), payload, u64 FNV-1a(payload)
+//! schema   nrows:u64, ncols:varint, per col: name (varint-prefixed UTF-8), dtype:varint
+//! column   payload below, every section padded to 8 except the last
 //! ```
 //!
-//! Column payloads (each sub-section padded to 8 bytes):
-//!
-//! | dtype | payload                                                    |
+//! | dtype | column payload                                             |
 //! |-------|------------------------------------------------------------|
 //! | bool  | validity bitmap, value bitmap                              |
 //! | int   | validity bitmap, `nrows × i64`                             |
@@ -33,8 +29,10 @@
 //!
 //! Null cells are zero in the data section and clear in the validity
 //! bitmap; a null string and an empty string differ only in validity.
-//! Every segment carries its own FNV-1a checksum so a torn write or a
-//! flipped byte is detected at open time, not as silent garbage rows.
+//! The container checksums every segment, so a torn write or a flipped
+//! byte is detected at open time, not as silent garbage rows; sizes
+//! derived from a (checksummed but forged) row count are computed with
+//! checked arithmetic, so a lying header is an error, never an overflow.
 
 use std::fmt;
 use std::fs::File;
@@ -43,41 +41,29 @@ use std::path::Path;
 use std::sync::Arc;
 
 use crate::column::Column;
+use crate::container::{put_bytes, put_varint, Reader, Writer};
 use crate::error::TableError;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::{Dtype, Value, ValueRef};
 use crate::Result;
 
-/// File magic of the current format version.
-pub const MAGIC: &[u8; 8] = b"emtbl v1";
+/// Container magic of the current format version.
+const MAGIC: &[u8; 8] = b"emtbl v2";
+/// Segment tags: the schema header, then one segment per column.
+const TAG_SCHEMA: u64 = 1;
+const TAG_COLUMN: u64 = 2;
 
 /// Default row count per ingest batch for [`ColumnarBuilder`] users
 /// (large enough to amortize per-batch work, small enough to bound the
 /// working set of a streaming CSV ingest).
-pub const DEFAULT_BATCH_ROWS: usize = 8192;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+const DEFAULT_BATCH_ROWS: usize = 8192;
 
 fn pad8(n: usize) -> usize {
     n.div_ceil(8) * 8
 }
 
-fn err(message: impl Into<String>) -> TableError {
-    TableError::Format(message.into())
-}
-
-fn dtype_code(d: Dtype) -> u8 {
+fn dtype_code(d: Dtype) -> u64 {
     match d {
         Dtype::Bool => 0,
         Dtype::Int => 1,
@@ -86,7 +72,7 @@ fn dtype_code(d: Dtype) -> u8 {
     }
 }
 
-fn code_dtype(c: u8) -> Option<Dtype> {
+fn code_dtype(c: u64) -> Option<Dtype> {
     match c {
         0 => Some(Dtype::Bool),
         1 => Some(Dtype::Int),
@@ -108,23 +94,18 @@ fn set_bit(bits: &mut [u8], i: usize) {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Serialize a table into `emtbl v1` bytes on `w`. Buffers one column
+/// Serialize a table into `emtbl v2` bytes on `w`. Buffers one column
 /// payload at a time, never the whole file.
-pub fn write<W: Write>(table: &Table, w: &mut W) -> Result<()> {
+fn write<W: Write>(table: &Table, w: W) -> Result<()> {
     let nrows = table.nrows();
-    let mut header = Vec::with_capacity(64);
-    header.extend_from_slice(MAGIC);
-    header.extend_from_slice(&(nrows as u64).to_le_bytes());
-    header.extend_from_slice(&(table.ncols() as u32).to_le_bytes());
+    let mut header = (nrows as u64).to_le_bytes().to_vec();
+    put_varint(&mut header, table.ncols() as u64);
     for f in table.schema().fields() {
-        header.extend_from_slice(&(f.name.len() as u32).to_le_bytes());
-        header.extend_from_slice(f.name.as_bytes());
-        header.push(dtype_code(f.dtype));
+        put_bytes(&mut header, f.name.as_bytes());
+        put_varint(&mut header, dtype_code(f.dtype));
     }
-    header.resize(pad8(header.len()), 0);
-    let sum = fnv1a(&header);
-    header.extend_from_slice(&sum.to_le_bytes());
-    w.write_all(&header)?;
+    let mut w = Writer::new(w, MAGIC)?;
+    w.segment(TAG_SCHEMA, &header)?;
 
     let vbytes = pad8(nrows.div_ceil(8));
     for c in 0..table.ncols() {
@@ -169,16 +150,13 @@ pub fn write<W: Write>(table: &Table, w: &mut W) -> Result<()> {
                 }
             }
         }
-        payload.resize(pad8(payload.len()), 0);
-        let sum = fnv1a(&payload);
-        w.write_all(&(payload.len() as u64).to_le_bytes())?;
-        w.write_all(&payload)?;
-        w.write_all(&sum.to_le_bytes())?;
+        w.segment(TAG_COLUMN, &payload)?;
     }
+    w.finish()?;
     Ok(())
 }
 
-/// Write a table as an `emtbl v1` file at `path` (create/truncate,
+/// Write a table as an `emtbl v2` file at `path` (create/truncate,
 /// flushed and fsynced — the write-once half of the storage tier).
 pub fn write_path(table: &Table, path: impl AsRef<Path>) -> Result<()> {
     let file = File::create(path)?;
@@ -381,142 +359,70 @@ impl MappedTable {
 
     fn parse(buf: Buf, mode: &'static str) -> Result<MappedTable> {
         let b = buf.bytes();
-        let rd_u64 = |at: usize| -> Result<u64> {
-            let end = at.checked_add(8).filter(|&e| e <= b.len());
-            let end = end.ok_or_else(|| err(format!("truncated at byte {at}")))?;
-            Ok(u64::from_le_bytes(b[at..end].try_into().expect("8 bytes")))
+        // Byte range of a payload section borrowed from `b`.
+        let range = |s: &[u8]| {
+            let start = s.as_ptr() as usize - b.as_ptr() as usize;
+            start..start + s.len()
         };
-        if b.len() < 20 || &b[..8] != MAGIC {
-            return Err(err("not an emtbl v1 file (bad magic)"));
-        }
-        let nrows = rd_u64(8)? as usize;
-        let ncols =
-            u32::from_le_bytes(b[16..20].try_into().expect("4 bytes")) as usize;
-        let mut at = 20usize;
-        let mut fields = Vec::with_capacity(ncols);
+        let mut file = Reader::open(b, MAGIC)?;
+        let mut h = file.segment(TAG_SCHEMA)?;
+        let nrows = h.u64()?;
+        let nrows = usize::try_from(nrows)
+            .map_err(|_| h.error(format!("row count {nrows} overflows the address space")))?;
+        let ncols = h.varint()?;
+        let mut fields = Vec::new();
         for i in 0..ncols {
-            if at + 4 > b.len() {
-                return Err(err(format!("truncated header at column {i}")));
-            }
-            let nlen =
-                u32::from_le_bytes(b[at..at + 4].try_into().expect("4 bytes")) as usize;
-            at += 4;
-            if at + nlen + 1 > b.len() {
-                return Err(err(format!("truncated header at column {i}")));
-            }
-            let name = std::str::from_utf8(&b[at..at + nlen])
-                .map_err(|_| err(format!("column {i} name is not UTF-8")))?;
-            at += nlen;
-            let dtype = code_dtype(b[at])
-                .ok_or_else(|| err(format!("column {i} has unknown dtype code {}", b[at])))?;
-            at += 1;
+            let name = std::str::from_utf8(h.bytes()?)
+                .map_err(|_| h.error(format!("column {i} name is not UTF-8")))?;
+            let code = h.varint()?;
+            let dtype = code_dtype(code)
+                .ok_or_else(|| h.error(format!("column {i} has unknown dtype code {code}")))?;
             fields.push(Field::new(name, dtype));
         }
-        let header_end = pad8(at);
-        if header_end + 8 > b.len() {
-            return Err(err("truncated header checksum"));
-        }
-        let want = rd_u64(header_end)?;
-        let got = fnv1a(&b[..header_end]);
-        if want != got {
-            return Err(err(format!(
-                "header checksum mismatch (stored {want:016x}, computed {got:016x})"
-            )));
-        }
-        let schema = Schema::new(fields)?;
-
+        // Every column size derives from `nrows`, so overflow means a
+        // forged header: an error, not a panic (or, in release, a wrap).
         let vbytes = pad8(nrows.div_ceil(8));
-        let mut cols = Vec::with_capacity(ncols);
-        at = header_end + 8;
-        for (i, f) in schema.fields().iter().enumerate() {
-            let plen = rd_u64(at)? as usize;
-            at += 8;
-            let pstart = at;
-            let pend = pstart
-                .checked_add(plen)
-                .filter(|&e| e + 8 <= b.len())
-                .ok_or_else(|| err(format!("truncated segment for column `{}`", f.name)))?;
-            let want = rd_u64(pend)?;
-            let got = fnv1a(&b[pstart..pend]);
-            if want != got {
-                return Err(err(format!(
-                    "checksum mismatch in column `{}` (stored {want:016x}, computed {got:016x})",
-                    f.name
-                )));
-            }
-            let validity = pstart..pstart + vbytes;
+        let obytes = nrows
+            .checked_add(1)
+            .and_then(|n| n.checked_mul(8))
+            .ok_or_else(|| h.error(format!("row count {nrows} overflows a column size")))?;
+        h.finish()?;
+        let schema = Schema::new(fields)?;
+        let mut cols = Vec::with_capacity(schema.len());
+        for f in schema.fields() {
+            let mut c = file.segment(TAG_COLUMN)?;
+            let validity = range(c.take(vbytes)?);
             let (data, heap) = match f.dtype {
-                Dtype::Bool => {
-                    let need = 2 * vbytes;
-                    if plen != pad8(need) {
-                        return Err(err(format!("column `{}` has wrong segment size", f.name)));
-                    }
-                    (validity.end..validity.end + vbytes, 0..0)
-                }
-                Dtype::Int | Dtype::Float => {
-                    let need = vbytes + nrows * 8;
-                    if plen != pad8(need) {
-                        return Err(err(format!("column `{}` has wrong segment size", f.name)));
-                    }
-                    (validity.end..validity.end + nrows * 8, 0..0)
-                }
+                Dtype::Bool => (range(c.take(vbytes)?), 0..0),
+                Dtype::Int | Dtype::Float => (range(c.take(obytes - 8)?), 0..0),
                 Dtype::Str => {
-                    let obytes = (nrows + 1) * 8;
-                    if plen < vbytes + obytes {
-                        return Err(err(format!("column `{}` has wrong segment size", f.name)));
+                    let data = c.take(obytes)?;
+                    let offsets: &[u64] = cast_slice(data);
+                    if offsets[0] != 0 || offsets.windows(2).any(|w| w[1] < w[0]) {
+                        let msg = format!("column `{}` offsets do not ascend from 0", f.name);
+                        return Err(c.error(msg));
                     }
-                    let data = validity.end..validity.end + obytes;
-                    let heap_padded = plen - vbytes - obytes;
-                    let offsets: &[u64] = cast_slice(&b[data.clone()]);
-                    if offsets[0] != 0 {
-                        return Err(err(format!("column `{}` offsets do not start at 0", f.name)));
-                    }
-                    for w in offsets.windows(2) {
-                        if w[1] < w[0] {
-                            return Err(err(format!(
-                                "column `{}` offsets are not monotonic",
-                                f.name
-                            )));
-                        }
-                    }
-                    let heap_len = offsets[nrows] as usize;
-                    if pad8(heap_len) != heap_padded {
-                        return Err(err(format!(
-                            "column `{}` heap length disagrees with offsets",
-                            f.name
-                        )));
-                    }
-                    let heap = data.end..data.end + heap_len;
+                    let heap = c.take(offsets[nrows] as usize)?;
                     // Validate every cell is UTF-8 once, here, so the hot
                     // accessors can slice with from_utf8_unchecked.
-                    let heap_bytes = &b[heap.clone()];
                     for (r, w) in offsets.windows(2).enumerate() {
-                        let s = &heap_bytes[w[0] as usize..w[1] as usize];
-                        if std::str::from_utf8(s).is_err() {
-                            return Err(err(format!(
-                                "column `{}` row {r} is not UTF-8",
-                                f.name
-                            )));
+                        if std::str::from_utf8(&heap[w[0] as usize..w[1] as usize]).is_err() {
+                            let msg = format!("column `{}` row {r} is not UTF-8", f.name);
+                            return Err(c.error(msg));
                         }
                     }
-                    (data, heap)
+                    (range(data), range(heap))
                 }
             };
-            let _ = i;
+            c.finish()?;
             cols.push(ColMeta {
                 dtype: f.dtype,
                 validity,
                 data,
                 heap,
             });
-            at = pend + 8;
         }
-        if at != b.len() {
-            return Err(err(format!(
-                "{} trailing bytes after the last column segment",
-                b.len() - at
-            )));
-        }
+        file.finish()?;
         Ok(MappedTable {
             schema,
             nrows,
@@ -693,12 +599,6 @@ impl<'a> ColumnSlice<'a> {
             }
         }
     }
-
-    /// Borrow the string cell at `row` (`None` for nulls and non-string
-    /// columns) without constructing a `ValueRef`.
-    pub fn str_at(&self, row: usize) -> Option<&'a str> {
-        self.get(row).as_str()
-    }
 }
 
 /// Open an `emtbl` file as a [`Table`] with `Storage::Mapped` backing
@@ -737,8 +637,8 @@ pub struct ColumnarBuilder {
 }
 
 impl ColumnarBuilder {
-    /// A builder staging up to `batch_rows` rows at a time (0 means
-    /// [`DEFAULT_BATCH_ROWS`]).
+    /// A builder staging up to `batch_rows` rows at a time (0 means the
+    /// default, 8192 rows).
     pub fn new(schema: Schema, batch_rows: usize) -> Self {
         let batch_rows = if batch_rows == 0 {
             DEFAULT_BATCH_ROWS
@@ -761,11 +661,6 @@ impl ColumnarBuilder {
     /// The builder's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    /// Rows currently staged.
-    pub fn staged_rows(&self) -> usize {
-        self.rows
     }
 
     /// True once the batch should be drained via [`ColumnarBuilder::take_batch`].
@@ -908,38 +803,46 @@ mod tests {
         assert_eq!(back.schema(), t.schema());
     }
 
+    /// The container's matrix covers every flip and prefix; here one of
+    /// each goes through the emtbl reader, plus a v1 file.
     #[test]
     fn corruption_is_detected() {
         let t = sample();
         let mut bytes = Vec::new();
         write(&t, &mut bytes).unwrap();
-
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xff;
-        assert!(MappedTable::parse(to_buf(&bad), "read").is_err());
-
-        // A flipped byte anywhere in a payload fails that column's checksum.
-        let mut bad = bytes.clone();
-        let mid = bytes.len() / 2;
-        bad[mid] ^= 0x01;
-        assert!(MappedTable::parse(to_buf(&bad), "read").is_err());
-
-        // Every strict prefix is rejected (torn write).
-        for cut in [1, 8, 20, bytes.len() / 3, bytes.len() - 1] {
-            assert!(
-                MappedTable::parse(to_buf(&bytes[..cut]), "read").is_err(),
-                "prefix of {cut} bytes parsed"
-            );
-        }
-
-        // Trailing garbage is rejected too.
-        let mut bad = bytes.clone();
-        bad.extend_from_slice(&[0u8; 8]);
-        assert!(MappedTable::parse(to_buf(&bad), "read").is_err());
-
-        // The untouched bytes still parse.
         assert!(MappedTable::parse(to_buf(&bytes), "read").is_ok());
+
+        let mut bad = bytes.clone();
+        bad[bytes.len() / 2] ^= 0x01;
+        let e = MappedTable::parse(to_buf(&bad), "read").unwrap_err();
+        assert!(matches!(e, TableError::Format(_)), "{e}");
+        let e = MappedTable::parse(to_buf(&bytes[..bytes.len() - 1]), "read").unwrap_err();
+        assert!(matches!(e, TableError::Format(_)), "{e}");
+
+        let mut v1 = bytes.clone();
+        v1[..8].copy_from_slice(b"emtbl v1");
+        let e = MappedTable::parse(to_buf(&v1), "read").unwrap_err();
+        assert!(e.to_string().contains("unsupported version"), "{e}");
+    }
+
+    /// A checksummed header claiming absurd row counts is an error, not
+    /// an arithmetic overflow in the column-size checks.
+    #[test]
+    fn forged_row_count_is_an_error_not_an_overflow() {
+        for nrows in [1u64 << 62, 1 << 61, u64::MAX, 1 << 40] {
+            for dtype in [Dtype::Int, Dtype::Str, Dtype::Bool] {
+                let mut header = nrows.to_le_bytes().to_vec();
+                put_varint(&mut header, 1);
+                put_bytes(&mut header, b"x");
+                put_varint(&mut header, dtype_code(dtype));
+                let mut w = Writer::new(Vec::new(), MAGIC).unwrap();
+                w.segment(TAG_SCHEMA, &header).unwrap();
+                w.segment(TAG_COLUMN, &[0u8; 16]).unwrap();
+                let bytes = w.finish().unwrap();
+                let e = MappedTable::parse(to_buf(&bytes), "read").unwrap_err();
+                assert!(matches!(e, TableError::Format(_)), "{nrows} {dtype:?}: {e}");
+            }
+        }
     }
 
     fn to_buf(bytes: &[u8]) -> Buf {
@@ -1009,12 +912,12 @@ mod tests {
         assert!(row.is_empty() && !b.is_full());
         let mut bad = vec![Value::Int(9), Value::Int(1)];
         assert!(b.push_row(&mut bad).is_err());
-        assert_eq!(b.staged_rows(), 1);
+        assert_eq!(b.rows, 1);
         let mut row = vec![Value::Null, Value::Int(2)];
         b.push_row(&mut row).unwrap();
         assert!(b.is_full());
         let cols = b.take_batch();
         assert_eq!(cols[0].len(), 2);
-        assert_eq!(b.staged_rows(), 0);
+        assert_eq!(b.rows, 0);
     }
 }

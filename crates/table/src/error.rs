@@ -61,8 +61,8 @@ pub enum TableError {
         /// Description of the problem.
         message: String,
     },
-    /// An on-disk `emtbl` file is malformed, truncated, or failed a
-    /// checksum.
+    /// An on-disk container (an `emtbl` file, a checkpoint) is
+    /// malformed, truncated, or failed a checksum.
     Format(String),
     /// Underlying I/O failure.
     Io(std::io::Error),
@@ -98,7 +98,7 @@ impl fmt::Display for TableError {
                 "foreign key `{attr}` of candidate set `{table}` is invalid: {reason}"
             ),
             TableError::Csv { line, message } => write!(f, "CSV parse error at line {line}: {message}"),
-            TableError::Format(message) => write!(f, "emtbl format error: {message}"),
+            TableError::Format(message) => write!(f, "format error: {message}"),
             TableError::Io(e) => write!(f, "I/O error: {e}"),
         }
     }

@@ -16,13 +16,17 @@
 //! trusting it (the paper's "self-containment" principle). Both halves of
 //! that design are reproduced here, including the validation paths.
 //!
-//! The crate also provides RFC-4180-subset CSV I/O ([`csv`]) and dataset
-//! profiling ([`profile`]) used by the how-to guide's data-exploration step.
+//! The crate also provides RFC-4180-subset CSV I/O ([`csv`]), dataset
+//! profiling ([`profile`]) used by the how-to guide's data-exploration step,
+//! the memory-mapped `emtbl` table format ([`emtbl`]), and the one
+//! checksummed [`container`] every on-disk format of the workspace is
+//! framed in.
 
 #![warn(missing_docs)]
 
 pub mod catalog;
 pub mod column;
+pub mod container;
 pub mod csv;
 pub mod emtbl;
 pub mod error;

@@ -95,16 +95,6 @@ impl TokenInterner {
         ids.dedup();
         ids
     }
-
-    /// Vocabulary generation: advances by exactly one per *new* token
-    /// interned and never otherwise (currently `== len()`). Streaming
-    /// consumers (the incremental join, `StreamSession` checkpoints) pin
-    /// this number to detect and audit vocabulary growth across mutation
-    /// batches; because the interner is append-only, equal generations
-    /// imply the id ↔ token mapping is unchanged, not merely same-sized.
-    pub fn generation(&self) -> u64 {
-        self.tokens.len() as u64
-    }
 }
 
 /// `|a ∩ b|` of two sorted deduplicated id slices (merge walk, no
