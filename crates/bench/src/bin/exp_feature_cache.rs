@@ -79,7 +79,12 @@ fn main() {
     )
     .unwrap();
     let cores = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
-    writeln!(txt, "host exposes {cores} core(s); the w>1 rows measure threading overhead on a 1-core host").unwrap();
+    let caveat = if cores == 1 {
+        "; the w>1 rows measure threading overhead on a 1-core host"
+    } else {
+        ""
+    };
+    writeln!(txt, "host exposes {cores} core(s){caveat}").unwrap();
     writeln!(
         txt,
         "cache telemetry (serial run): records_prepared={} tokenize_calls={} saved={} interner_tokens={}",

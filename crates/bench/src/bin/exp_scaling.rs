@@ -19,7 +19,8 @@ use magellan_features::generate_features;
 use magellan_ml::{Learner, RandomForestLearner};
 
 fn main() {
-    // Experiment narration is leveled logging: MAGELLAN_LOG=off silences it.
+    // The report goes to stdout (`> results/exp_scaling.txt`); library
+    // narration is leveled logging on stderr: MAGELLAN_LOG=off silences it.
     magellan_obs::init_bin_logging(magellan_obs::Level::Info);
     let s = persons(&ScenarioConfig {
         size_a: 8_000,
@@ -54,12 +55,19 @@ fn main() {
     .expect("development stage");
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    magellan_obs::log!(info, "Production-stage scaling — {} x {} tuples", a.nrows(), b.nrows());
-    magellan_obs::log!(info, 
-        "host exposes {cores} core(s); near-linear speedup requires a multi-core host —\n\
-         on a single core the table below measures pure threading overhead instead"
+    println!(
+        "Production-stage scaling — {} x {} tuples",
+        a.nrows(),
+        b.nrows()
     );
-    magellan_obs::log!(info, 
+    println!("host exposes {cores} core(s)");
+    if cores == 1 {
+        println!(
+            "near-linear speedup requires a multi-core host — on a single core the\n\
+             table below measures pure threading overhead instead"
+        );
+    }
+    println!(
         "{:>8} {:>12} {:>12} {:>10} {:>8}",
         "workers", "blocking", "matching", "total", "speedup"
     );
@@ -70,7 +78,7 @@ fn main() {
         let total = rep.timings.total().as_secs_f64();
         let matching = rep.timings.matching.as_secs_f64();
         let speedup = base.get_or_insert(matching).max(1e-9) / matching.max(1e-9);
-        magellan_obs::log!(info, 
+        println!(
             "{:>8} {:>11.2}s {:>11.2}s {:>9.2}s {:>7.2}x",
             workers,
             rep.timings.blocking.as_secs_f64(),
@@ -80,12 +88,12 @@ fn main() {
         );
         if workers == 4 {
             let m = score(&rep.matches, a, b, &s.gold);
-            magellan_obs::log!(info, "\naccuracy at 4 workers (identical at any count): {m}");
+            println!("\naccuracy at 4 workers (identical at any count): {m}");
         }
     }
 
     // --- candidate-schema ablation (the (A.id, B.id)-only principle) ---
-    magellan_obs::log!(info, "\nCandidate-schema ablation (§4.1 space-efficiency principle):");
+    println!("\nCandidate-schema ablation (§4.1 space-efficiency principle):");
     let cands = OverlapBlocker::words("name", 1).block(a, b).expect("blocker");
     let t0 = Instant::now();
     let id_only_bytes: usize = cands
@@ -110,12 +118,12 @@ fn main() {
         })
         .sum();
     let materialized_t = t1.elapsed();
-    magellan_obs::log!(info, 
+    println!(
         "  |C| = {} pairs;  (l_id, r_id) schema ≈ {:.1} MB ({id_only_t:?});",
         cands.len(),
         id_only_bytes as f64 / 1e6
     );
-    magellan_obs::log!(info, 
+    println!(
         "  fully materialized schema ≈ {:.1} MB ({materialized_t:?});  ratio {:.0}x",
         materialized_bytes as f64 / 1e6,
         materialized_bytes as f64 / id_only_bytes.max(1) as f64

@@ -102,10 +102,16 @@ impl TfIdfModel {
         if a.is_empty() || b.is_empty() {
             return 0.0;
         }
-        let va = self.tfidf_vector(a);
-        let vb = self.tfidf_vector(b);
-        let na: f64 = va.values().map(|w| w * w).sum::<f64>().sqrt();
-        let nb: f64 = vb.values().map(|w| w * w).sum::<f64>().sqrt();
+        // Token order, not hash order: the sums and the tie-breaks below
+        // then give the same bits on every call.
+        let sorted = |tokens| {
+            let mut v: Vec<(&str, f64)> = self.tfidf_vector(tokens).into_iter().collect();
+            v.sort_unstable_by(|x, y| x.0.cmp(y.0));
+            v
+        };
+        let (va, vb) = (sorted(a), sorted(b));
+        let na: f64 = va.iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
+        let nb: f64 = vb.iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
         if na == 0.0 || nb == 0.0 {
             return 0.0;
         }

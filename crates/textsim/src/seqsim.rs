@@ -3,43 +3,216 @@
 //! All `*_sim` functions return values in `[0, 1]` with 1 meaning identical;
 //! raw scores (edit distances, alignment scores) are exposed separately
 //! where the raw value is meaningful to feature generators.
+//!
+//! Levenshtein and Jaro run on allocation-free bit-parallel kernels
+//! (DESIGN.md §7.2): Myers's bit-vector edit distance with Hyyrö's block
+//! carry, and a Jaro match window over a bitmask of used positions. Both
+//! return exactly what the textbook dynamic programs return — the same
+//! integer distance, the same match count and transpositions, the same
+//! `f64` expression — and those programs live on as the test oracle in
+//! `tests/kernel_oracle.rs`. ASCII input is read as bytes; anything else
+//! is decoded to `char`s in per-thread scratch.
 
-/// Levenshtein (edit) distance with unit costs, O(|a|·|b|) time and
-/// O(min) space.
-pub fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
-    if short.is_empty() {
-        return long.len();
+use std::cell::RefCell;
+
+thread_local! {
+    /// Decoded `char`s of non-ASCII input (`a`, `b`, and the sorted
+    /// distinct `char`s of the string a `Peq` table is built over).
+    static CHARS: RefCell<[Vec<char>; 3]> =
+        const { RefCell::new([Vec::new(), Vec::new(), Vec::new()]) };
+    /// The `Peq` table (see [`with_peq`]); all zero between calls, so a
+    /// call pays for the bits it sets, not for clearing 128 rows.
+    static PEQ: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// Kernel words past the stack buffers: Levenshtein state for
+    /// patterns over 64 characters, Jaro masks past 128 characters a side.
+    static WORDS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` over `n` zeroed words: on the stack when `n ≤ N`, else in the
+/// per-thread scratch.
+fn with_words<const N: usize, R>(n: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
+    if n <= N {
+        f(&mut [0u64; N][..n])
+    } else {
+        WORDS.with(|w| {
+            let mut w = w.borrow_mut();
+            w.clear();
+            w.resize(n, 0);
+            f(&mut w)
+        })
     }
-    let mut prev: Vec<usize> = (0..=short.len()).collect();
-    let mut cur = vec![0usize; short.len() + 1];
-    for (i, lc) in long.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, sc) in short.iter().enumerate() {
-            let sub = prev[j] + usize::from(lc != sc);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+}
+
+/// Run `f` over `a` and `b` decoded to `char`s, plus the buffer for
+/// [`char_rows`]'s keys.
+fn with_chars<R>(a: &str, b: &str, f: impl FnOnce(&[char], &[char], &mut Vec<char>) -> R) -> R {
+    CHARS.with(|c| {
+        let mut c = c.borrow_mut();
+        let [ca, cb, keys] = &mut *c;
+        ca.clear();
+        ca.extend(a.chars());
+        cb.clear();
+        cb.extend(b.chars());
+        f(ca, cb, keys)
+    })
+}
+
+/// Largest `Peq` table a thread keeps between calls (256 KiB); a larger
+/// one, built for a long non-ASCII pattern, is freed after its call.
+const PEQ_KEEP_WORDS: usize = 1 << 15;
+
+/// Run `f` over the `Peq` table of `p` (Myers's "pattern match
+/// vectors"): row `row(c)`, `⌈|p|/64⌉` words wide, has bit `i` set for
+/// every `p[i] == c`. `rows` bounds `row`; rows `p` never names stay
+/// zero. The table is the per-thread one, and only the words `p` set are
+/// cleared after `f`.
+fn with_peq<T: Copy, R>(
+    p: &[T],
+    rows: usize,
+    row: impl Fn(T) -> usize,
+    f: impl FnOnce(&[u64]) -> R,
+) -> R {
+    let words = p.len().div_ceil(64);
+    PEQ.with(|t| {
+        let mut t = t.borrow_mut();
+        if t.len() < rows * words {
+            t.resize(rows * words, 0);
         }
-        std::mem::swap(&mut prev, &mut cur);
+        for (i, &c) in p.iter().enumerate() {
+            t[row(c) * words + i / 64] |= 1 << (i % 64);
+        }
+        let r = f(&t);
+        if t.len() > PEQ_KEEP_WORDS {
+            *t = Vec::new();
+        } else {
+            for (i, &c) in p.iter().enumerate() {
+                t[row(c) * words + i / 64] = 0;
+            }
+        }
+        r
+    })
+}
+
+/// `Peq` rows for decoded `char`s: one per distinct `char` of `p`
+/// (sorted into `keys`, found by binary search), and row 0 for every
+/// `char` `p` lacks.
+fn char_rows<'k>(p: &[char], keys: &'k mut Vec<char>) -> (usize, impl Fn(char) -> usize + 'k) {
+    keys.clear();
+    keys.extend_from_slice(p);
+    keys.sort_unstable();
+    keys.dedup();
+    let keys = &*keys;
+    (keys.len() + 1, move |c| {
+        keys.binary_search(&c).map_or(0, |k| k + 1)
+    })
+}
+
+/// Shorter side first: it becomes the bit-vector pattern.
+fn pattern_text<'s, T>(a: &'s [T], b: &'s [T]) -> (&'s [T], &'s [T]) {
+    if a.len() <= b.len() {
+        (a, b)
+    } else {
+        (b, a)
     }
-    prev[short.len()]
+}
+
+/// Edit distance and both lengths in `char`s, from one decode.
+fn levenshtein_counts(a: &str, b: &str) -> (usize, usize, usize) {
+    if a.is_ascii() && b.is_ascii() {
+        let (a, b) = (a.as_bytes(), b.as_bytes());
+        let (p, t) = pattern_text(a, b);
+        (levenshtein_kernel(p, t, 128, usize::from), a.len(), b.len())
+    } else {
+        with_chars(a, b, |a, b, keys| {
+            let (p, t) = pattern_text(a, b);
+            let (rows, row) = char_rows(p, keys);
+            (levenshtein_kernel(p, t, rows, row), a.len(), b.len())
+        })
+    }
+}
+
+/// Myers's bit-vector edit distance (JACM 1999) with Hyyrö's block carry
+/// (2003), pattern `p` no longer than text `t`. Each text symbol is one
+/// column: `⌈m/64⌉` words of vertical deltas advanced through the
+/// pattern's `Peq` row for that symbol, the horizontal delta leaving
+/// each word carried into the next. One column costs `O(⌈m/64⌉)` word
+/// operations and the result is the exact `D[m][n]` of the unit-cost DP.
+fn levenshtein_kernel<T: Copy>(p: &[T], t: &[T], rows: usize, row: impl Fn(T) -> usize) -> usize {
+    let m = p.len();
+    if m == 0 {
+        return t.len();
+    }
+    let blocks = m.div_ceil(64);
+    // Row m sits at this bit of the last block; the padding bits above it
+    // never reach it (carries and shifts only move upward).
+    let last = 1u64 << ((m - 1) % 64);
+    with_peq(p, rows, &row, |peq| {
+        // One block's state fits on the stack.
+        with_words::<2, _>(2 * blocks, |state| {
+            let (vp, vn) = state.split_at_mut(blocks);
+            // D[i][0] = i: every vertical delta starts at +1.
+            vp.fill(!0);
+            let mut dist = m;
+            for &c in t {
+                let eq_row = &peq[row(c) * blocks..][..blocks];
+                // D[0][j] = j: the horizontal delta entering block 0 is +1.
+                let (mut hp, mut hn) = (1u64, 0u64);
+                let (mut ph, mut mh) = (0u64, 0u64);
+                for ((pv, mv), &eq) in vp.iter_mut().zip(vn.iter_mut()).zip(eq_row) {
+                    let xv = eq | *mv;
+                    let eq = eq | hn;
+                    let xh = ((eq & *pv).wrapping_add(*pv) ^ *pv) | eq;
+                    ph = *mv | !(xh | *pv);
+                    mh = *pv & xh;
+                    let ph_in = (ph << 1) | hp;
+                    let mh_in = (mh << 1) | hn;
+                    hp = ph >> 63;
+                    hn = mh >> 63;
+                    *pv = mh_in | !(xv | ph_in);
+                    *mv = ph_in & xv;
+                }
+                // The last block's horizontal delta at row m moves D[m][j].
+                dist += usize::from(ph & last != 0);
+                dist -= usize::from(mh & last != 0);
+            }
+            dist
+        })
+    })
+}
+
+/// Levenshtein (edit) distance with unit costs, in `O(⌈m/64⌉·n)` word
+/// operations for `m ≤ n` the two lengths in `char`s.
+pub fn levenshtein(a: &str, b: &str) -> usize {
+    levenshtein_counts(a, b).0
 }
 
 /// Normalized Levenshtein similarity: `1 - dist / max_len`; 1.0 for two
 /// empty strings.
 pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
+    let (dist, la, lb) = levenshtein_counts(a, b);
+    let max_len = la.max(lb);
     if max_len == 0 {
         return 1.0;
     }
-    1.0 - levenshtein(a, b) as f64 / max_len as f64
+    1.0 - dist as f64 / max_len as f64
 }
 
-/// Jaro similarity in `[0, 1]`.
-pub fn jaro(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
+/// Iterate the set bit positions of a multi-word mask, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &x)| {
+        std::iter::successors(Some(x).filter(|&x| x != 0), |&x| {
+            Some(x & (x - 1)).filter(|&y| y != 0)
+        })
+        .map(move |x| w * 64 + x.trailing_zeros() as usize)
+    })
+}
+
+/// Jaro over symbol slices. Each `a[i]` takes the first unused equal
+/// `b[j]` inside the window — the textbook greedy order — found by
+/// walking the free bits of the window in the `b_used` mask. Matched `a`
+/// positions go into `a_hit`, and the transpositions pair the k-th set
+/// bit of one mask with the k-th of the other.
+fn jaro_kernel<T: Copy + Eq>(a: &[T], b: &[T]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -47,36 +220,65 @@ pub fn jaro(a: &str, b: &str) -> f64 {
         return 0.0;
     }
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_used = vec![false; b.len()];
-    let mut matches_a: Vec<char> = Vec::new();
-    for (i, ca) in a.iter().enumerate() {
-        let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(b.len());
-        for j in lo..hi {
-            if !b_used[j] && b[j] == *ca {
-                b_used[j] = true;
-                matches_a.push(*ca);
+    let wa = a.len().div_ceil(64);
+    // Both masks fit on the stack up to 128 characters a side.
+    with_words::<4, _>(wa + b.len().div_ceil(64), |w| {
+        let (a_hit, b_used) = w.split_at_mut(wa);
+        let mut m = 0usize;
+        for (i, &ca) in a.iter().enumerate() {
+            let lo = i.saturating_sub(window);
+            let hi = (i + window + 1).min(b.len());
+            if lo >= hi {
+                // `lo` only grows with `i`: no later window reaches `b`.
                 break;
             }
+            let first = lo / 64;
+            'window: for (word, used) in (first..).zip(&mut b_used[first..=(hi - 1) / 64]) {
+                let base = word * 64;
+                let (from, to) = (lo.max(base) - base, hi.min(base + 64) - base);
+                let mut free = !*used & ((u64::MAX >> (64 - (to - from))) << from);
+                while free != 0 {
+                    let bit = free.trailing_zeros() as usize;
+                    if b[base + bit] == ca {
+                        *used |= 1 << bit;
+                        a_hit[i / 64] |= 1 << (i % 64);
+                        m += 1;
+                        break 'window;
+                    }
+                    free &= free - 1;
+                }
+            }
         }
+        if m == 0 {
+            return 0.0;
+        }
+        let transpositions = set_bits(a_hit)
+            .zip(set_bits(b_used))
+            .filter(|&(i, j)| a[i] != b[j])
+            .count()
+            / 2;
+        let m = m as f64;
+        (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+    })
+}
+
+/// Jaro similarity and Winkler's common prefix (capped at 4), from one
+/// decode.
+fn jaro_prefix(a: &str, b: &str) -> (f64, usize) {
+    fn prefix<T: Eq>(a: &[T], b: &[T]) -> usize {
+        a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count()
     }
-    let m = matches_a.len();
-    if m == 0 {
-        return 0.0;
+    if a.is_ascii() && b.is_ascii() {
+        let (a, b) = (a.as_bytes(), b.as_bytes());
+        (jaro_kernel(a, b), prefix(a, b))
+    } else {
+        with_chars(a, b, |a, b, _| (jaro_kernel(a, b), prefix(a, b)))
     }
-    let matches_b: Vec<char> = b
-        .iter()
-        .zip(&b_used)
-        .filter_map(|(c, used)| used.then_some(*c))
-        .collect();
-    let transpositions = matches_a
-        .iter()
-        .zip(&matches_b)
-        .filter(|(x, y)| x != y)
-        .count()
-        / 2;
-    let m = m as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+}
+
+/// Jaro similarity in `[0, 1]`.
+pub fn jaro(a: &str, b: &str) -> f64 {
+    jaro_prefix(a, b).0
 }
 
 /// Jaro–Winkler similarity with the standard prefix scale `p = 0.1` and a
@@ -89,13 +291,7 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
 /// result in `[0, 1]`).
 pub fn jaro_winkler_with(a: &str, b: &str, prefix_scale: f64) -> f64 {
     debug_assert!((0.0..=0.25).contains(&prefix_scale));
-    let j = jaro(a, b);
-    let prefix = a
-        .chars()
-        .zip(b.chars())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count();
+    let (j, prefix) = jaro_prefix(a, b);
     j + prefix as f64 * prefix_scale * (1.0 - j)
 }
 
@@ -115,8 +311,8 @@ pub fn hamming_sim(a: &str, b: &str) -> Option<f64> {
 }
 
 /// Needleman–Wunsch global alignment score with match = +1,
-/// mismatch = −1, gap = −1 (the `py_stringmatching` defaults are
-/// match 1 / mismatch 0 / gap −1; we expose the knobs).
+/// mismatch = 0, gap = −1 (the `py_stringmatching` defaults;
+/// [`needleman_wunsch_with`] exposes the knobs).
 pub fn needleman_wunsch(a: &str, b: &str) -> f64 {
     needleman_wunsch_with(a, b, 1.0, 0.0, -1.0)
 }
@@ -299,7 +495,7 @@ mod tests {
 
     #[test]
     fn smith_waterman_is_local_and_nonnegative() {
-        // Shared substring "ell" scores 3 despite different contexts.
+        // Shared substring "ello" scores 4 despite different contexts.
         assert_eq!(smith_waterman("hello", "yellow"), 4.0); // "ello"
         assert_eq!(smith_waterman("abc", "xyz"), 0.0);
         assert_eq!(smith_waterman("", "abc"), 0.0);

@@ -1,11 +1,15 @@
 //! The kernel-oracle harness: the enforcement arm of the kernel tier's
 //! bit-identity contract (DESIGN.md §7.2).
 //!
-//! One grid — **kernel × input-shape class × seed × worker count** —
-//! checks every intersection kernel against the preserved scalar
-//! reference ([`kernels::intersect_scalar`], byte-identical to the PR 3
-//! `intern::intersect_size_sorted` walk) and checks **exact-`f64`
-//! equality** of all four similarity measures built on the counts.
+//! Two grids. The **intersection grid** — kernel × input-shape class ×
+//! seed × worker count — checks every intersection kernel against the
+//! preserved scalar reference ([`kernels::intersect_scalar`],
+//! byte-identical to the original `intern::intersect_size_sorted` walk) and
+//! checks **exact-`f64` equality** of all four similarity measures built
+//! on the counts. The **character grid** — string-shape class × seed ×
+//! worker count — checks the bit-parallel Levenshtein and Jaro kernels
+//! behind `seqsim` (and Monge–Elkan and soft TF-IDF on top of them)
+//! against the textbook dynamic programs kept verbatim below.
 //!
 //! ## Registering a kernel
 //!
@@ -20,11 +24,13 @@
 //! The CI `kernel-oracle` job sets `KERNEL_ORACLE_SEEDS=4` (default 2);
 //! each seed redraws every randomized shape class. The worker axis runs
 //! the identical pair set on 1/2/4/8 threads — this is what proves the
-//! bitset kernel's thread-local rasterization scratch never leaks state
+//! bitset kernel's thread-local rasterization scratch, and the character
+//! kernels' thread-local decode and `Peq` scratch, never leak state
 //! across calls or threads.
 
 use magellan_textsim::intern;
 use magellan_textsim::kernels::{self, Kernel, KernelMode};
+use magellan_textsim::{seqsim, setsim, TfIdfModel};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
@@ -303,5 +309,481 @@ proptest! {
         let a: Vec<u32> = (0..len_a as u32).map(|i| start_a + i * stride).collect();
         let b: Vec<u32> = (0..len_b as u32).map(|i| start_b + i).collect();
         check_pair(&a, &b);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Character kernels: Levenshtein and Jaro against the textbook DP.
+// ---------------------------------------------------------------------
+
+/// The textbook Levenshtein DP: O(|a|·|b|) time, two rows of the table.
+fn oracle_levenshtein(a: &str, b: &str) -> usize {
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    let (short, long) = if a.len() <= b.len() {
+        (&a, &b)
+    } else {
+        (&b, &a)
+    };
+    if short.is_empty() {
+        return long.len();
+    }
+    let mut prev: Vec<usize> = (0..=short.len()).collect();
+    let mut cur = vec![0usize; short.len() + 1];
+    for (i, lc) in long.iter().enumerate() {
+        cur[0] = i + 1;
+        for (j, sc) in short.iter().enumerate() {
+            let sub = prev[j] + usize::from(lc != sc);
+            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+        }
+        std::mem::swap(&mut prev, &mut cur);
+    }
+    prev[short.len()]
+}
+
+/// The normalized similarity over [`oracle_levenshtein`].
+fn oracle_levenshtein_sim(a: &str, b: &str) -> f64 {
+    let max_len = a.chars().count().max(b.chars().count());
+    if max_len == 0 {
+        return 1.0;
+    }
+    1.0 - oracle_levenshtein(a, b) as f64 / max_len as f64
+}
+
+/// The allocating Jaro: a `Vec<bool>` of used `b` positions and a
+/// `Vec<char>` of matched `a` characters.
+fn oracle_jaro(a: &str, b: &str) -> f64 {
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    if a.is_empty() && b.is_empty() {
+        return 1.0;
+    }
+    if a.is_empty() || b.is_empty() {
+        return 0.0;
+    }
+    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+    let mut b_used = vec![false; b.len()];
+    let mut matches_a: Vec<char> = Vec::new();
+    for (i, ca) in a.iter().enumerate() {
+        let lo = i.saturating_sub(window);
+        let hi = (i + window + 1).min(b.len());
+        for j in lo..hi {
+            if !b_used[j] && b[j] == *ca {
+                b_used[j] = true;
+                matches_a.push(*ca);
+                break;
+            }
+        }
+    }
+    let m = matches_a.len();
+    if m == 0 {
+        return 0.0;
+    }
+    let matches_b: Vec<char> = b
+        .iter()
+        .zip(&b_used)
+        .filter_map(|(c, used)| used.then_some(*c))
+        .collect();
+    let transpositions = matches_a
+        .iter()
+        .zip(&matches_b)
+        .filter(|(x, y)| x != y)
+        .count()
+        / 2;
+    let m = m as f64;
+    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+}
+
+/// Jaro–Winkler over [`oracle_jaro`].
+fn oracle_jaro_winkler_with(a: &str, b: &str, prefix_scale: f64) -> f64 {
+    let j = oracle_jaro(a, b);
+    let prefix = a
+        .chars()
+        .zip(b.chars())
+        .take(4)
+        .take_while(|(x, y)| x == y)
+        .count();
+    j + prefix as f64 * prefix_scale * (1.0 - j)
+}
+
+fn oracle_jaro_winkler(a: &str, b: &str) -> f64 {
+    oracle_jaro_winkler_with(a, b, 0.1)
+}
+
+/// The string-shape classes of the character grid. Each class draws a
+/// pair of strings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CharShape {
+    /// One side empty, or both.
+    Empty,
+    /// 1–3 characters a side: the Jaro window is 0.
+    Tiny,
+    /// One or both sides 63, 64, 65, 128 or 129 characters long: the
+    /// Myers block and Jaro mask word boundaries.
+    WordBoundary,
+    /// Alphabets of 2–4 letters: heavy on repeats and transpositions.
+    SmallAlphabet,
+    /// 2-, 3- or 4-byte UTF-8 (`é`, CJK, emoji), alphabets of 2–4.
+    Utf8,
+    /// An ASCII side against a side with non-ASCII characters.
+    MixedAscii,
+    /// `a == b`.
+    Identical,
+}
+
+const CHAR_SHAPES: [CharShape; 7] = [
+    CharShape::Empty,
+    CharShape::Tiny,
+    CharShape::WordBoundary,
+    CharShape::SmallAlphabet,
+    CharShape::Utf8,
+    CharShape::MixedAscii,
+    CharShape::Identical,
+];
+
+const BOUNDARY_LENS: [usize; 5] = [63, 64, 65, 128, 129];
+const ASCII_LETTERS: &[char] = &['a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'x', 'y', 'z', ' '];
+const UTF8_2: &[char] = &['é', 'ü', 'ñ', 'ø'];
+const UTF8_3: &[char] = &['中', '文', '字', '日'];
+const UTF8_4: &[char] = &['😀', '🎉', '🚀', '🦀'];
+
+fn pick<'c>(rng: &mut TestRng, xs: &'c [char]) -> &'c [char] {
+    // A prefix of 2..=len letters: small alphabets repeat often.
+    &xs[..2 + rng.below(xs.len() as u64 - 1) as usize]
+}
+
+fn draw_string(rng: &mut TestRng, alphabet: &[char], len: usize) -> String {
+    (0..len)
+        .map(|_| alphabet[rng.below(alphabet.len() as u64) as usize])
+        .collect()
+}
+
+/// `s` after a few random substitutions, insertions, deletions and
+/// adjacent swaps: near pairs are where transpositions live.
+fn perturb(rng: &mut TestRng, s: &str, alphabet: &[char]) -> String {
+    let mut v: Vec<char> = s.chars().collect();
+    for _ in 0..rng.below(4) {
+        let at = rng.below(v.len() as u64 + 1) as usize;
+        let c = alphabet[rng.below(alphabet.len() as u64) as usize];
+        match rng.below(4) {
+            0 if at < v.len() => v[at] = c,
+            1 => v.insert(at, c),
+            2 if at < v.len() => {
+                v.remove(at);
+            }
+            _ if at + 1 < v.len() => v.swap(at, at + 1),
+            _ => {}
+        }
+    }
+    v.into_iter().collect()
+}
+
+/// Either a fresh draw or a perturbed copy of `a`.
+fn partner(rng: &mut TestRng, a: &str, alphabet: &[char], len: usize) -> String {
+    if rng.below(2) == 0 {
+        draw_string(rng, alphabet, len)
+    } else {
+        perturb(rng, a, alphabet)
+    }
+}
+
+fn draw_char_pair(shape: CharShape, rng: &mut TestRng) -> (String, String) {
+    let (a, b) = match shape {
+        CharShape::Empty => {
+            let len = rng.below(3) as usize * rng.below(70) as usize;
+            let other = draw_string(rng, ASCII_LETTERS, len);
+            (
+                String::new(),
+                if rng.below(3) == 0 {
+                    String::new()
+                } else {
+                    other
+                },
+            )
+        }
+        CharShape::Tiny => {
+            let alphabet = pick(rng, &ASCII_LETTERS[..4]);
+            let (la, lb) = (1 + rng.below(3) as usize, 1 + rng.below(3) as usize);
+            (
+                draw_string(rng, alphabet, la),
+                draw_string(rng, alphabet, lb),
+            )
+        }
+        CharShape::WordBoundary => {
+            let alphabet = match rng.below(4) {
+                0 => pick(rng, ASCII_LETTERS),
+                1 => &ASCII_LETTERS[..2],
+                2 => pick(rng, UTF8_2),
+                _ => pick(rng, UTF8_4),
+            };
+            let la = BOUNDARY_LENS[rng.below(5) as usize];
+            let lb = if rng.below(2) == 0 {
+                BOUNDARY_LENS[rng.below(5) as usize]
+            } else {
+                rng.below(140) as usize
+            };
+            let a = draw_string(rng, alphabet, la);
+            let b = if rng.below(3) == 0 {
+                perturb(rng, &a, alphabet)
+            } else {
+                draw_string(rng, alphabet, lb)
+            };
+            (a, b)
+        }
+        CharShape::SmallAlphabet => {
+            let alphabet = pick(rng, &ASCII_LETTERS[..4]);
+            let (la, len) = (rng.below(70) as usize, rng.below(70) as usize);
+            let a = draw_string(rng, alphabet, la);
+            let b = partner(rng, &a, alphabet, len);
+            (a, b)
+        }
+        CharShape::Utf8 => {
+            let family = [UTF8_2, UTF8_3, UTF8_4][rng.below(3) as usize];
+            let alphabet = pick(rng, family);
+            let (la, len) = (rng.below(70) as usize, rng.below(70) as usize);
+            let a = draw_string(rng, alphabet, la);
+            let b = partner(rng, &a, alphabet, len);
+            (a, b)
+        }
+        CharShape::MixedAscii => {
+            let ascii = pick(rng, &ASCII_LETTERS[..4]);
+            let wide: Vec<char> = ascii.iter().chain(pick(rng, UTF8_3)).copied().collect();
+            let (la, len) = (rng.below(70) as usize, rng.below(70) as usize);
+            let a = draw_string(rng, ascii, la);
+            let b = partner(rng, &a, &wide, len);
+            (a, b)
+        }
+        CharShape::Identical => {
+            let alphabet = [ASCII_LETTERS, UTF8_2, UTF8_3, UTF8_4][rng.below(4) as usize];
+            let alphabet = pick(rng, alphabet);
+            let len = rng.below(140) as usize;
+            let a = draw_string(rng, alphabet, len);
+            (a.clone(), a)
+        }
+    };
+    if rng.below(2) == 0 {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
+/// Cases drawn per (string shape, seed) cell.
+const CHAR_CASES_PER_CELL: usize = 64;
+
+fn char_grid_pairs(seed: u64) -> Vec<(String, String)> {
+    let mut rng = TestRng::new(seed ^ 0x6368_6172);
+    CHAR_SHAPES
+        .iter()
+        .flat_map(|&shape| {
+            (0..CHAR_CASES_PER_CELL)
+                .map(|_| draw_char_pair(shape, &mut rng))
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// One character-grid check, both argument orders: the distance equal,
+/// every similarity the same `f64` bits as the oracle's.
+fn check_char_pair(a: &str, b: &str) {
+    for (x, y) in [(a, b), (b, a)] {
+        let ctx = || format!("{x:?} vs {y:?}");
+        assert_eq!(
+            seqsim::levenshtein(x, y),
+            oracle_levenshtein(x, y),
+            "levenshtein {}",
+            ctx()
+        );
+        assert_eq!(
+            seqsim::levenshtein_sim(x, y).to_bits(),
+            oracle_levenshtein_sim(x, y).to_bits(),
+            "levenshtein_sim {}",
+            ctx()
+        );
+        assert_eq!(
+            seqsim::jaro(x, y).to_bits(),
+            oracle_jaro(x, y).to_bits(),
+            "jaro {}",
+            ctx()
+        );
+        assert_eq!(
+            seqsim::jaro_winkler(x, y).to_bits(),
+            oracle_jaro_winkler(x, y).to_bits(),
+            "jaro_winkler {}",
+            ctx()
+        );
+        assert_eq!(
+            seqsim::jaro_winkler_with(x, y, 0.25).to_bits(),
+            oracle_jaro_winkler_with(x, y, 0.25).to_bits(),
+            "jaro_winkler_with 0.25 {}",
+            ctx()
+        );
+    }
+}
+
+/// Split a drawn string into a token bag (up to 4 tokens; empty pieces
+/// dropped so the bag can be empty).
+fn bag(s: &str) -> Vec<String> {
+    let chars: Vec<char> = s.chars().collect();
+    let step = chars.len().div_ceil(4).max(1);
+    chars
+        .chunks(step)
+        .map(|c| c.iter().collect::<String>())
+        .flat_map(|t| t.split(' ').map(str::to_owned).collect::<Vec<_>>())
+        .filter(|t| !t.is_empty())
+        .collect()
+}
+
+/// Monge–Elkan and soft TF-IDF with the production Jaro–Winkler against
+/// the same measures over the oracle's.
+fn check_token_measures(pairs: &[(String, String)]) {
+    let bags: Vec<(Vec<String>, Vec<String>)> =
+        pairs.iter().map(|(a, b)| (bag(a), bag(b))).collect();
+    let corpus: Vec<&Vec<String>> = bags.iter().flat_map(|(a, b)| [a, b]).collect();
+    let model = TfIdfModel::fit(&corpus);
+    for (ta, tb) in &bags {
+        assert_eq!(
+            setsim::monge_elkan_jw(ta, tb).to_bits(),
+            setsim::monge_elkan(ta, tb, oracle_jaro_winkler).to_bits(),
+            "monge_elkan_jw {ta:?} vs {tb:?}"
+        );
+        assert_eq!(
+            model.soft_tfidf_jw(ta, tb).to_bits(),
+            model.soft_tfidf(ta, tb, 0.9, oracle_jaro_winkler).to_bits(),
+            "soft_tfidf_jw {ta:?} vs {tb:?}"
+        );
+    }
+}
+
+/// Every string shape drew what it promises (a shape that silently
+/// degenerated would leave its kernel path unchecked).
+#[test]
+fn char_grid_covers_its_shapes() {
+    let mut rng = TestRng::new(seeds()[0]);
+    let draws = |shape, rng: &mut TestRng| -> Vec<(String, String)> {
+        (0..CHAR_CASES_PER_CELL)
+            .map(|_| draw_char_pair(shape, rng))
+            .collect()
+    };
+    let lens = |(a, b): &(String, String)| [a.chars().count(), b.chars().count()];
+    let wide = |s: &String, bytes: usize| s.chars().any(|c| c.len_utf8() == bytes);
+    assert!(draws(CharShape::Empty, &mut rng)
+        .iter()
+        .any(|p| lens(p) == [0, 0]));
+    assert!(draws(CharShape::Empty, &mut rng)
+        .iter()
+        .any(|p| lens(p).contains(&0) && lens(p) != [0, 0]));
+    assert!(draws(CharShape::Tiny, &mut rng)
+        .iter()
+        .all(|p| lens(p).iter().all(|l| (1..=3).contains(l))));
+    let boundary = draws(CharShape::WordBoundary, &mut rng);
+    for l in BOUNDARY_LENS {
+        assert!(
+            boundary.iter().any(|p| lens(p).contains(&l)),
+            "no side of length {l}"
+        );
+    }
+    assert!(boundary
+        .iter()
+        .any(|(a, b)| !a.is_ascii() && a.chars().count() > 64 && b.chars().count() > 64));
+    let utf8 = draws(CharShape::Utf8, &mut rng);
+    for bytes in [2, 3, 4] {
+        assert!(
+            utf8.iter().any(|(a, b)| wide(a, bytes) || wide(b, bytes)),
+            "no {bytes}-byte chars"
+        );
+    }
+    assert!(draws(CharShape::MixedAscii, &mut rng)
+        .iter()
+        .any(|(a, b)| a.is_ascii() != b.is_ascii()));
+    assert!(draws(CharShape::Identical, &mut rng)
+        .iter()
+        .all(|(a, b)| a == b));
+}
+
+/// The character grid: string shape × seed, single-threaded.
+#[test]
+fn char_grid_single_worker() {
+    for seed in seeds() {
+        let pairs = char_grid_pairs(seed);
+        for (a, b) in &pairs {
+            check_char_pair(a, b);
+        }
+        check_token_measures(&pairs);
+    }
+}
+
+/// The character grid's worker axis: the identical pair set on 1/2/4/8
+/// threads, so the per-thread decode and `Peq` scratch is exercised by
+/// interleaved short, long, ASCII and non-ASCII calls on every thread.
+#[test]
+fn char_grid_worker_counts() {
+    let pairs: Vec<_> = seeds().into_iter().flat_map(char_grid_pairs).collect();
+    for workers in [1usize, 2, 4, 8] {
+        std::thread::scope(|s| {
+            let chunk = pairs.len().div_ceil(workers);
+            for slice in pairs.chunks(chunk) {
+                s.spawn(move || {
+                    for (a, b) in slice {
+                        check_char_pair(a, b);
+                    }
+                });
+            }
+        });
+    }
+}
+
+/// Known values stay known: textbook pairs through both implementations.
+#[test]
+fn char_kernels_known_pairs() {
+    for (a, b) in [
+        ("kitten", "sitting"),
+        ("MARTHA", "MARHTA"),
+        ("DIXON", "DICKSONX"),
+        ("DWAYNE", "DUANE"),
+        ("flaw", "lawn"),
+        ("", ""),
+        ("a", ""),
+        ("café", "cafe"),
+        ("東京都", "京都"),
+        ("🦀rust🦀", "rust"),
+    ] {
+        check_char_pair(a, b);
+    }
+}
+
+/// Long inputs: many Myers blocks, and a non-ASCII pattern whose `Peq`
+/// table is too large for a thread to keep; the calls after it must
+/// still start from an all-zero table.
+#[test]
+fn char_kernels_long_inputs() {
+    let mut rng = TestRng::new(seeds()[0]);
+    let cjk: Vec<char> = (0x4e00u32..0x4e00 + 1500)
+        .filter_map(char::from_u32)
+        .collect();
+    let long_a = draw_string(&mut rng, &cjk, 2500);
+    let long_b = perturb(&mut rng, &long_a, &cjk);
+    let ascii_a = draw_string(&mut rng, ASCII_LETTERS, 700);
+    let ascii_b = perturb(&mut rng, &ascii_a, ASCII_LETTERS);
+    for (a, b) in [
+        (&long_a, &long_b),
+        (&ascii_a, &ascii_b),
+        (&long_a, &ascii_a),
+    ] {
+        check_char_pair(a, b);
+    }
+    for (a, b) in char_grid_pairs(seeds()[0]).iter().step_by(5) {
+        check_char_pair(a, b);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Free-form arm of the character grid: short strings over a tiny
+    /// mixed alphabet (ASCII, 2-byte and 4-byte characters).
+    #[test]
+    fn char_oracle_random_pairs(a in "[ab é🦀]{0,80}", b in "[ab é🦀]{0,80}") {
+        check_char_pair(&a, &b);
     }
 }
